@@ -43,6 +43,9 @@ class _Node:
         self.vjps = vjps
 
 
+_SPENT = _Node((), ())  # stands in for every node after backward() has consumed the tape
+
+
 class Tape:
     """Append-only record of operations, topologically ordered by construction."""
 
@@ -498,18 +501,23 @@ def backward(loss: Tensor) -> Gradients:
         raise TapeConsumed("backward() was already called on this tape")
     tape._backward_done = True
 
-    acc: list = [None] * len(tape.nodes)
+    # each node is dropped once its VJPs have run: the closures hold the
+    # forward activations, and tensors, tape and closures form reference
+    # cycles that would otherwise wait for the cyclic collector
+    nodes = tape.nodes
+    acc: list = [None] * len(nodes)
     acc[loss.node_id] = np.ones_like(loss.data)
     for nid in range(loss.node_id, -1, -1):
+        node, nodes[nid] = nodes[nid], _SPENT
         g = acc[nid]
         if g is None:
             continue
-        node = tape.nodes[nid]
         for iid, vjp in zip(node.input_ids, node.vjps):
             if iid is None:
                 continue
             gi = vjp(g)
             acc[iid] = gi if acc[iid] is None else acc[iid] + gi
+    nodes[loss.node_id + 1 :] = [_SPENT] * (len(nodes) - loss.node_id - 1)
     return Gradients(acc)
 
 

@@ -216,10 +216,10 @@ def cmd_match(args) -> int:
             preds = PredictionSet(
                 [PredictionSlot(tuple(e["class_probs"]), from_flat(e["pose"], PoseClass.HUMAN)) for e in p_entries]
             )
+            cost = build_cost_matrix(targets, preds, weights)
+            assignment = hungarian_assign(cost)
         except (KeyError, ValueError) as e:
             return _fail(f"record {rec_idx}: {e}", USAGE_ERROR)
-        cost = build_cost_matrix(targets, preds, weights)
-        assignment = hungarian_assign(cost)
         for i, j in enumerate(assignment.perm):
             lines.append(f"{rec_idx},{i},{j},{float(cost.entries[i, j])!r},{float(assignment.total_cost)!r}")
         if args.oracle:

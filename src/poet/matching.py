@@ -1,12 +1,19 @@
 """Bipartite matching between target and prediction slots.
 
 The pairwise cost couples the (raw) predicted probability of the target class
-with the pose discrepancy; non-object targets cost zero against everything, so
-the padded problem stays square and any human-optimal matching extends to a
-full optimal one. The solver is an O(n^3) shortest-augmenting-path
-implementation with potentials, scanning columns in ascending index order so
-ties resolve deterministically toward smaller prediction indices. A factorial
-brute-force solver doubles as its testing oracle.
+with the pose discrepancy; non-object targets cost zero against everything.
+The cost block of the human rows is built in one numpy broadcast that repeats
+``pose_loss``'s operations in its order, so every entry is bit-identical to
+``match_cost``.
+
+The solver works on the people rows only: rows up to the last non-zero one
+are solved against all columns by shortest augmenting paths with potentials
+(a rectangular assignment, as in Jonker & Volgenant 1987), and the trailing
+all-zero rows take the leftover columns in ascending order. When several
+assignments share the optimal cost, the lexicographically smallest full
+permutation is returned. Ties are detected exactly on the people rows'
+equality graph, and only then repaired. A factorial brute-force solver over
+the full square doubles as the testing oracle.
 """
 
 from __future__ import annotations
@@ -64,18 +71,64 @@ def match_cost(target: PoseVector, pred: PredictionSlot, weights: LossWeights) -
     return -pred.class_probs[0] + value
 
 
+def _cost_block(t_center, t_offsets, t_vis, p_human, p_center, p_offsets, p_vis, weights: LossWeights) -> np.ndarray:
+    """Costs of h human targets against n predictions, shape (h, n), in one broadcast.
+
+    The operations and their order are those of ``pose_loss`` followed by
+    ``match_cost``, so each entry equals ``match_cost`` bit for bit.
+    """
+    if t_offsets.shape[-1] != p_offsets.shape[-1]:
+        raise ValueError(f"keypoint counts differ: {t_offsets.shape[-1] // 2} vs {p_offsets.shape[-1] // 2}")
+    v = t_vis[:, None, :]
+    l1 = weights.lambda_l1 * np.abs(v * t_offsets[:, None, :] - v * p_offsets[None]).sum(axis=-1)
+    l2 = weights.lambda_l2 * ((v - p_vis[None]) ** 2).sum(axis=-1)
+    c = t_center[:, None, :] - p_center[None]
+    ctr = weights.lambda_ctr * (c**2).sum(axis=-1)
+    return -p_human[None, :] + (l1 + l2 + ctr)
+
+
+def cost_matrix_from_arrays(
+    targets: TargetSet,
+    p_human: np.ndarray,
+    p_center: np.ndarray,
+    p_offsets: np.ndarray,
+    p_vis: np.ndarray,
+    weights: LossWeights,
+) -> CostMatrix:
+    """All pairwise costs against predictions held as arrays, e.g. one image's head outputs.
+
+    ``p_human`` is (n,), the human-class probabilities; the rest are (n, 2),
+    (n, 2K) and (n, 2K). Entries equal ``build_cost_matrix``'s bit for bit.
+    """
+    n = len(targets)
+    if p_human.shape[0] != n:
+        raise SizeMismatch(f"targets have {n} slots, predictions {p_human.shape[0]}")
+    entries = np.zeros((n, n))
+    rows = [i for i, target in enumerate(targets) if target.is_human]
+    if rows:  # non-object rows stay zero: their indicator terms vanish
+        humans = [targets[i] for i in rows]
+        entries[rows] = _cost_block(
+            np.array([t.center for t in humans]),
+            np.array([t.offsets for t in humans]),
+            np.array([t.visibilities for t in humans]),
+            p_human, p_center, p_offsets, p_vis, weights,
+        )
+    return CostMatrix(entries)
+
+
 def build_cost_matrix(targets: TargetSet, preds: PredictionSet, weights: LossWeights) -> CostMatrix:
     """All pairwise costs; plain floats, never recorded on a tape."""
     if len(targets) != len(preds):
         raise SizeMismatch(f"targets have {len(targets)} slots, predictions {len(preds)}")
-    n = len(targets)
-    entries = np.zeros((n, n))
-    for i, target in enumerate(targets):
-        if not target.is_human:
-            continue  # indicator terms vanish; row stays zero
-        for j, pred in enumerate(preds):
-            entries[i, j] = match_cost(target, pred, weights)
-    return CostMatrix(entries)
+    poses = [pred.pose for pred in preds]
+    return cost_matrix_from_arrays(
+        targets,
+        np.array([pred.class_probs[0] for pred in preds]),
+        np.array([p.center for p in poses]),
+        np.array([p.offsets for p in poses]),
+        np.array([p.visibilities for p in poses]),
+        weights,
+    )
 
 
 def _perm_total(entries: np.ndarray, perm) -> float:
@@ -84,23 +137,51 @@ def _perm_total(entries: np.ndarray, perm) -> float:
 
 
 def hungarian_assign(cost: CostMatrix | np.ndarray) -> Assignment:
-    """Minimum-cost perfect matching via shortest augmenting paths with potentials.
+    """Minimum-cost perfect matching, solved on the rows up to the last non-zero one.
 
-    When several permutations share the optimal cost, the lexicographically
-    smallest one is returned (detected through the zero-reduced-cost edges of
-    the final potentials), matching the brute-force oracle's tie rule.
+    Those k rows are assigned to k of the n columns; the all-zero rows after
+    them cost nothing wherever they go and take the leftover columns in
+    ascending order. When several permutations share the optimal cost, the
+    lexicographically smallest one is returned, matching the brute-force
+    oracle's tie rule.
     """
     entries = cost.entries if isinstance(cost, CostMatrix) else CostMatrix(cost).entries
     if not np.all(np.isfinite(entries)):
         raise NonFiniteEntry("cost matrix contains non-finite entries")
     n = entries.shape[0]
+    nonzero = np.flatnonzero(entries.any(axis=1))
+    k = int(nonzero[-1]) + 1 if nonzero.size else 0
+    block = entries[:k]
 
+    cols, u, v = _shortest_augmenting_paths(block)
+    # every co-optimal assignment uses only edges of ~0 reduced cost and leaves
+    # only columns of ~0 potential unmatched
+    tight = block - u[:, None] - v[None, :] <= _TIE_EPS
+    freeable = v >= -_TIE_EPS
+    if k and _has_second_optimum(tight, cols, freeable):
+        cols = _lex_smallest_matching(tight, cols, freeable)
+    taken = np.zeros(n, dtype=bool)
+    taken[cols] = True
+    perm = tuple(int(j) for j in cols) + tuple(int(j) for j in np.flatnonzero(~taken))
+    return Assignment(perm, _perm_total(entries, perm))
+
+
+def _shortest_augmenting_paths(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assign each of k rows to its own column out of n >= k, at minimum total cost.
+
+    Returns (column of each row, row potentials u, column potentials v) with
+    u[i] + v[j] <= block[i, j] everywhere, equality on the matched edges and
+    v = 0 on the unmatched columns, which no augmentation ever visits.
+    Columns are scanned in ascending index order, so ties resolve toward
+    smaller prediction indices.
+    """
+    k, n = block.shape
     # 1-based columns; row p[j] is assigned to column j, p[0] tracks the row being inserted
-    u = np.zeros(n + 1)
+    u = np.zeros(k + 1)
     v = np.zeros(n + 1)
     p = np.zeros(n + 1, dtype=np.intp)
     way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         p[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
@@ -111,7 +192,7 @@ def hungarian_assign(cost: CostMatrix | np.ndarray) -> Assignment:
             free = ~used
             free[0] = False
             cols = np.nonzero(free)[0]
-            cur = entries[i0 - 1, cols - 1] - u[i0] - v[cols]
+            cur = block[i0 - 1, cols - 1] - u[i0] - v[cols]
             better = cur < minv[cols]
             if np.any(better):
                 improved = cols[better]
@@ -130,60 +211,117 @@ def hungarian_assign(cost: CostMatrix | np.ndarray) -> Assignment:
             p[j0] = p[j1]
             j0 = j1
 
-    perm = np.empty(n, dtype=np.intp)
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
-    perm = tuple(int(x) for x in perm)
-
-    # every co-optimal assignment lives on edges whose reduced cost is ~0; if
-    # any edge beyond the n solution edges qualifies, re-pick canonically
-    reduced = entries - u[1:][:, None] - v[1:][None, :]
-    zero_edges = reduced <= _TIE_EPS
-    if int(zero_edges.sum()) > n:
-        canonical = _lex_smallest_matching(zero_edges)
-        if canonical is not None:
-            perm = canonical
-    return Assignment(perm, _perm_total(entries, perm))
+    cols = np.empty(k, dtype=np.intp)
+    matched = np.flatnonzero(p[1:])
+    cols[p[1:][matched] - 1] = matched
+    return cols, u[1:], v[1:]
 
 
-def _rows_matchable(edges: np.ndarray, start: int, col_used: np.ndarray) -> bool:
-    """Can rows start..n-1 be perfectly matched into the unused columns?"""
-    n = edges.shape[0]
-    owner = np.full(n, -1, dtype=np.intp)  # column -> row
-
-    def augment(i: int, seen: np.ndarray) -> bool:
-        for j in range(n):
-            if col_used[j] or seen[j] or not edges[i, j]:
-                continue
-            seen[j] = True
-            if owner[j] < 0 or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    for i in range(start, n):
-        if not augment(i, np.zeros(n, dtype=bool)):
-            return False
-    return True
+# The tie helpers below read the people rows as a square problem: each unmatched
+# column is held by a padding row, and padding rows may hold any column of ~0
+# potential. The padding rows are interchangeable, so they act as one node,
+# the pool (index k), in the graph of who can take whose column.
 
 
-def _lex_smallest_matching(edges: np.ndarray) -> tuple[int, ...] | None:
-    """Lexicographically smallest perfect matching on a boolean edge matrix."""
-    n = edges.shape[0]
-    col_used = np.zeros(n, dtype=bool)
-    perm = []
-    for i in range(n):
-        for j in range(n):
-            if col_used[j] or not edges[i, j]:
-                continue
-            col_used[j] = True
-            if _rows_matchable(edges, i + 1, col_used):
-                perm.append(j)
+def _owners(cols: np.ndarray, n: int) -> np.ndarray:
+    """Row holding each column; unmatched columns are held by the pool (index k)."""
+    k = cols.shape[0]
+    owner = np.full(n, k, dtype=np.intp)
+    owner[cols] = np.arange(k)
+    return owner
+
+
+def _has_second_optimum(tight: np.ndarray, cols: np.ndarray, freeable: np.ndarray) -> bool:
+    """Does the equality graph admit an optimal assignment other than ``cols``?
+
+    Row r points at the holder of every other column it is tight to; the pool
+    points at the rows holding a column of ~0 potential. A second optimum
+    exists exactly when this graph has a cycle: either an alternating cycle
+    among the rows, or (through the pool) an alternating path from a matched
+    column of ~0 potential to an unmatched one.
+    """
+    k, n = tight.shape
+    owner = _owners(cols, n)
+    others = tight.copy()
+    others[np.arange(k), cols] = False
+    adj = np.zeros((k + 1, k + 1), dtype=bool)
+    rows, other_cols = np.nonzero(others)
+    adj[rows, owner[other_cols]] = True
+    adj[k, owner[freeable & (owner < k)]] = True
+    # Kahn's algorithm: the graph is acyclic iff every node can be peeled off at in-degree 0
+    indeg = adj.sum(axis=0)
+    ready = list(np.flatnonzero(indeg == 0))
+    peeled = 0
+    while ready:
+        x = ready.pop()
+        peeled += 1
+        for y in np.flatnonzero(adj[x]):
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                ready.append(y)
+    return peeled < k + 1
+
+
+def _lex_smallest_matching(tight: np.ndarray, cols: np.ndarray, freeable: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest optimal assignment of the people rows, from the optimal ``cols``.
+
+    Row by row, each row moves to its smallest tight column that an
+    alternating cycle through the rows below it (and the pool) can free for
+    it; the rows above it stay fixed.
+    """
+    k, n = tight.shape
+    pool = k
+    cols = cols.copy()
+    owner = _owners(cols, n)
+    for i in range(k):
+        held = cols[i]
+        cands = np.flatnonzero(tight[i, :held])
+        cands = cands[owner[cands] > i]  # columns of the rows above are fixed
+        if not cands.size:
+            continue
+        nxt = _paths_back(tight, cols, owner, freeable, i)
+        reached = nxt[owner[cands]] >= 0
+        if not reached.any():
+            continue
+        j = int(cands[np.argmax(reached)])
+        node = owner[j]
+        owner[j], cols[i] = i, j
+        while True:  # walk the cycle: each holder takes the next column, until row i's old one
+            c = nxt[node]
+            prev = owner[c]
+            owner[c] = node
+            if node != pool:
+                cols[node] = c
+            if c == held:
                 break
-            col_used[j] = False
-        else:
-            return None
-    return tuple(perm)
+            node = prev
+    return cols
+
+
+def _paths_back(tight, cols, owner, freeable, i) -> np.ndarray:
+    """For the rows below i and the pool: the column each takes on a path that frees row i's column.
+
+    -1 where no such path exists. Following these columns from any reached
+    node ends at row i's column; each step goes to a node reached earlier, so
+    the path is simple.
+    """
+    k, n = tight.shape
+    nxt = np.full(k + 1, -1, dtype=np.intp)
+    open_rows = np.zeros(k, dtype=bool)
+    open_rows[i + 1 :] = True
+    pool_open = True
+    wanted = [int(cols[i])]
+    while wanted:
+        c = wanted.pop()
+        rows = np.flatnonzero(open_rows & tight[:, c])
+        open_rows[rows] = False
+        nxt[rows] = c
+        wanted.extend(int(x) for x in cols[rows])
+        if pool_open and freeable[c]:
+            pool_open = False
+            nxt[k] = c
+            wanted.extend(int(x) for x in np.flatnonzero(owner == k))
+    return nxt
 
 
 _PERM_CACHE: dict[int, np.ndarray] = {}

@@ -11,6 +11,7 @@ learning rates. Epoch-level randomness (shuffle, dropout) derives from
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -92,7 +93,10 @@ def adamw_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm; also returns the norm before clipping.
+
+    max_norm <= 0 leaves the gradients as they are.
+    """
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if max_norm <= 0 or total <= max_norm:
         return grads, total
@@ -113,11 +117,39 @@ def effective_lr(base: float, schedule: ScheduleConfig, epoch: int) -> float:
 # epoch loops
 
 
-def _batch_assignments(batch: Batch, pred_sets, weights: LossWeights):
+def _batch_assignments(batch: Batch, outputs: dict[str, ad.Tensor], weights: LossWeights):
+    """Per-image assignments from the detached head outputs; nothing is recorded on a tape."""
+    human = outputs["class_probs"].data[..., 0]
+    center, offsets, vis = (outputs[key].data for key in ("center", "offsets", "visibility"))
     return [
-        matching.hungarian_assign(matching.build_cost_matrix(targets, preds, weights))
-        for targets, preds in zip(batch.targets, pred_sets)
+        matching.hungarian_assign(
+            matching.cost_matrix_from_arrays(targets, human[b], center[b], offsets[b], vis[b], weights)
+        )
+        for b, targets in enumerate(batch.targets)
     ]
+
+
+def apply_gradients(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    optim: OptimState,
+    loss: float,
+    clip_norm: float,
+    lr_transformer: float | None = None,
+    lr_backbone: float | None = None,
+) -> float:
+    """Clip and apply one AdamW step; returns the gradient norm before clipping.
+
+    A non-finite loss or gradient norm raises TrainBatchError before anything
+    is updated, naming the first parameter whose gradient is not finite.
+    """
+    clipped, norm = clip_gradients(grads, clip_norm)
+    if not (np.isfinite(loss) and np.isfinite(norm)):
+        bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
+        where = f"gradient of {bad}" if bad is not None else "loss"
+        raise TrainBatchError(f"non-finite {where} (loss {loss!r}, gradient norm {norm!r}); parameters left unchanged")
+    adamw_step(params, clipped, optim, lr_transformer=lr_transformer, lr_backbone=lr_backbone)
+    return norm
 
 
 def train_epoch(
@@ -140,17 +172,16 @@ def train_epoch(
             watched = model.watch_params(tape, params)
             outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, cfg, train=True, rng=dropout_rng)
             nodes_before = len(tape)
-            pred_sets = model.slots_from_outputs(outputs, cfg)
-            assignments = _batch_assignments(batch, pred_sets, run.loss)
+            assignments = _batch_assignments(batch, outputs, run.loss)
             if len(tape) != nodes_before:
                 raise RuntimeError("matching must not record tape nodes")
             total, breakdown = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
             grads = ad.backward(total)
             grad_arrays = {name: grads.wrt(t) for name, t in watched.items()}
-            if run.optim.clip_norm > 0:
-                grad_arrays, _ = clip_gradients(grad_arrays, run.optim.clip_norm)
-            adamw_step(params, grad_arrays, optim, lr_transformer=lr_t, lr_backbone=lr_b)
-        except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError) as e:
+            apply_gradients(
+                params, grad_arrays, optim, float(total.data), run.optim.clip_norm, lr_transformer=lr_t, lr_backbone=lr_b
+            )
+        except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
             raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
         accum = accum.plus(breakdown)
         batches += 1
@@ -167,8 +198,8 @@ def dataset_loss(params: dict[str, np.ndarray], dataset: Dataset, run: RunConfig
     batches = 0
     for batch in batch_iter(dataset, run.train.batch_size, None, cfg.num_queries):
         outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, cfg, train=False)
+        assignments = _batch_assignments(batch, outputs, run.loss)
         pred_sets = model.slots_from_outputs(outputs, cfg)
-        assignments = _batch_assignments(batch, pred_sets, run.loss)
         per_image = [
             hungarian_loss(t, p, a, run.loss, batch.num_humans, num_images_in_batch=len(batch.targets))
             for t, p, a in zip(batch.targets, pred_sets, assignments)
@@ -311,6 +342,23 @@ def _loss_row(epoch: int, split: str, b: LossBreakdown) -> str:
     return _format_row((epoch, split, b.class_nll, b.keypoint_l1, b.visibility_l2, b.center_l2, b.total))
 
 
+def _restart_csv(path: Path, header: str, last_epoch: int) -> None:
+    """Rewrite a CSV log as its header plus its rows of epochs 1..last_epoch, atomically.
+
+    A resumed run keeps what was logged up to its checkpoint and drops any
+    later rows, which it is about to log again; a missing file gets the header.
+    """
+    rows = []
+    if last_epoch > 0 and path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            epoch = line.split(",", 1)[0]
+            if epoch.isdigit() and int(epoch) <= last_epoch:
+                rows.append(line)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
     """Train per the run config, logging CSV curves and checkpoints under out_dir.
 
@@ -334,25 +382,21 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
     if resume:
         params, optim, start_epoch = load_checkpoint(resume, run.optim)
         log.info("resumed from %s at epoch %d", resume, start_epoch)
-        mode = "a"
     else:
         params = model.init_params(run.model, run.seed)
         optim = init_optim_state(params, run.optim)
         start_epoch = 0
-        mode = "w"
 
     losses_path = out / "losses.csv"
     map_path = out / "map.csv"
     per_layer_path = out / "per_layer_map.csv"
-    losses_fh = open(losses_path, mode, encoding="utf-8")
-    map_fh = open(map_path, mode, encoding="utf-8") if val_ds is not None else None
-    layer_fh = open(per_layer_path, mode, encoding="utf-8") if val_ds is not None else None
-    if mode == "w":
-        print(LOSS_HEADER, file=losses_fh)
-        if map_fh:
-            print(MAP_HEADER, file=map_fh)
-        if layer_fh:
-            print(PER_LAYER_HEADER, file=layer_fh)
+    _restart_csv(losses_path, LOSS_HEADER, start_epoch)
+    if val_ds is not None:
+        _restart_csv(map_path, MAP_HEADER, start_epoch)
+        _restart_csv(per_layer_path, PER_LAYER_HEADER, start_epoch)
+    losses_fh = open(losses_path, "a", encoding="utf-8")
+    map_fh = open(map_path, "a", encoding="utf-8") if val_ds is not None else None
+    layer_fh = open(per_layer_path, "a", encoding="utf-8") if val_ds is not None else None
 
     def save_with_config(path: str, epoch: int) -> None:
         save_checkpoint(path, params, optim, epoch)

@@ -1,5 +1,8 @@
 """Gradient and contract tests for the tape-based tensor engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,6 +199,31 @@ def test_backward_contract_errors():
         ad.backward(loss)
     with pytest.raises(ad.NotRecorded):
         ad.backward(ad.Tensor(1.0))
+
+
+def test_backward_frees_the_tape_without_the_cyclic_collector():
+    x0 = rng().normal(size=(3, 4))
+
+    def forward(x):
+        h = ad.tanh(x)
+        return ad.reduce_sum(ad.mul(h, h)), weakref.ref(h.data)
+
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.leaf(x0)
+        loss, activation = forward(x)
+        recorded = len(tape)
+        assert activation() is not None  # held by the tape until backward
+        grads = ad.backward(loss)
+        assert activation() is None
+        assert len(tape) == recorded
+    finally:
+        gc.enable()
+    t = np.tanh(x0)
+    np.testing.assert_array_equal(grads.wrt(x), 2.0 * t * (1.0 - t * t))
+    with pytest.raises(ad.TapeConsumed):
+        ad.backward(loss)
 
 
 def test_mixed_tapes_rejected():

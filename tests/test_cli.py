@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +144,15 @@ def test_match_slot_count_mismatch_exit_2(tmp_path, capsys):
     assert "record 0" in capsys.readouterr().err
 
 
+def test_match_keypoint_count_mismatch_exit_2(tmp_path, capsys):
+    targets_path = tmp_path / "t.jsonl"
+    preds_path = tmp_path / "p.jsonl"
+    targets_path.write_text(json.dumps({"targets": [{"pose": [0.5, 0.5, 0.1, 0.1, 1.0], "class": 1}]}) + "\n")
+    preds_path.write_text(json.dumps({"preds": [{"pose": [0.5, 0.5] + [0.1, 0.1, 1.0] * 2, "class_probs": [0.6, 0.4]}]}) + "\n")
+    assert main(["match", str(targets_path), str(preds_path)]) == 2
+    assert "record 0: keypoint counts differ" in capsys.readouterr().err
+
+
 def test_gradcheck_component_and_injection(capsys):
     assert main(["gradcheck", "--component", "loss", "--cases", "3"]) == 0
     out = capsys.readouterr().out
@@ -237,3 +249,13 @@ def test_eval_keypoint_count_mismatch(tiny_cfg_path, tmp_path, capsys):
     code = main(["eval", "--checkpoint", ckpt, "--set", "synth.num_keypoints=3"])
     assert code == 2
     assert "keypoints" in capsys.readouterr().err
+
+
+def test_import_cli_does_not_load_numpy():
+    # --threads must set the BLAS variables before numpy is first imported
+    import poet
+
+    env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
+    code = "import sys, poet.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

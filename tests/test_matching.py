@@ -1,6 +1,13 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from poet import matching
 from poet.loss import LossWeights
 from poet.matching import (
     Assignment,
@@ -197,3 +204,98 @@ def test_assignment_total_consistency():
     assert isinstance(a, Assignment)
     assert sorted(a.perm) == [0, 1, 2, 3]
     assert a.total_cost == pytest.approx(sum(c[i, a.perm[i]] for i in range(4)), abs=1e-12)
+
+
+def _grid_case(rng, trial):
+    """A small cost matrix on a coarse grid (many ties) with zero rows of one of three layouts."""
+    n = int(rng.integers(1, 8))
+    entries = rng.integers(-2, 3, size=(n, n)) * 0.25 if trial % 2 else rng.integers(-1000, 1001, size=(n, n)) * 0.001
+    layout = trial % 3
+    if layout == 0:  # humans first, as pad_targets lays them out
+        entries[int(rng.integers(0, n + 1)) :] = 0.0
+    elif layout == 1:  # zero rows interleaved with the people rows
+        entries[rng.random(n) < 0.4] = 0.0
+    elif trial % 9 == 2:  # a human-free image
+        entries[:] = 0.0
+    return entries
+
+
+def test_people_rows_solver_matches_brute_force_perm():
+    rng = np.random.default_rng(2103)
+    for trial in range(600):
+        entries = _grid_case(rng, trial)
+        h = hungarian_assign(entries)
+        b = brute_force_assign(entries)
+        assert h.perm == b.perm, entries
+        assert h.total_cost == b.total_cost
+
+
+def test_padding_rows_take_leftover_columns_in_ascending_order():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        entries = np.zeros((30, 30))
+        h = int(rng.integers(1, 10))
+        entries[:h] = rng.normal(size=(h, 30))
+        perm = hungarian_assign(entries).perm
+        assert list(perm[h:]) == sorted(set(range(30)) - set(perm[:h]))
+
+
+def test_tie_detection_is_exact():
+    # a second optimum exists iff the people rows (up to the last non-zero one)
+    # have two optimal assignments; the padding rows' order does not count
+    rng = np.random.default_rng(31)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        entries = _grid_case(rng, trial)
+        n = entries.shape[0]
+        nonzero = np.flatnonzero(entries.any(axis=1))
+        k = int(nonzero[-1]) + 1 if nonzero.size else 0
+        if k == 0:
+            continue
+        perms = np.array(list(itertools.permutations(range(n))))
+        totals = entries[np.arange(n), perms].sum(axis=1)
+        eps = matching._TIE_EPS
+        optimal = {tuple(p[:k]) for p in perms[totals <= totals.min() + eps]}
+        block = entries[:k]
+        cols, u, v = matching._shortest_augmenting_paths(block)
+        found = matching._has_second_optimum(block - u[:, None] - v[None, :] <= eps, cols, v >= -eps)
+        assert found == (len(optimal) > 1), entries
+        seen[found] += 1
+    assert seen[True] > 50 and seen[False] > 50
+
+
+def test_continuous_humans_first_never_enters_tie_repair(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("tie repair entered without a tie")
+
+    monkeypatch.setattr(matching, "_lex_smallest_matching", forbidden)
+    rng = np.random.default_rng(100)
+    for trial in range(30):
+        h = int(rng.integers(1, 21))
+        if trial % 3:
+            entries = np.zeros((100, 100))
+            entries[:h] = rng.normal(size=(h, 100))
+        else:
+            targets = random_target_set(rng, 100, 17, h)
+            entries = build_cost_matrix(targets, random_prediction_set(rng, 100, 17), W).entries
+        perm = hungarian_assign(entries).perm
+        assert sorted(perm) == list(range(100))
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_total_cost_matches_scipy(n):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(n)
+    for trial in range(10):
+        entries = np.zeros((n, n))
+        h = int(rng.integers(1, n + 1)) if trial % 2 else int(rng.integers(1, 21))
+        entries[:h] = rng.normal(size=(h, n))
+        rows, cols = scipy_optimize.linear_sum_assignment(entries)
+        assert hungarian_assign(entries).total_cost == pytest.approx(float(entries[rows, cols].sum()), abs=1e-9)
+
+
+def test_matching_never_imports_scipy():
+    code = "import sys, poet.matching, poet.training, poet.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(matching.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -273,3 +273,80 @@ def test_train_run_rejects_overfull_synth(tmp_path):
 
     with pytest.raises(ConfigError, match="prediction slots"):
         train_run(run, str(tmp_path / "x"))
+
+
+def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
+    from poet import matching
+    from poet.data import batch_iter
+
+    # 17 keypoints: the 34-term sums take numpy's unrolled summation path
+    run = parse_config(TINY_CFG_TEXT + "model.num_keypoints = 17\nsynth.num_keypoints = 17\n")
+    batch = next(batch_iter(synth_generate(run.synth), 8, None, run.model.num_queries))
+    cparams = model.constant_params(model.init_params(run.model, 3))
+    outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, run.model, train=False)
+    pred_sets = model.slots_from_outputs(outputs, run.model)
+    expected = []
+    for b, (targets, preds) in enumerate(zip(batch.targets, pred_sets)):
+        arrays = [outputs["class_probs"].data[b, :, 0]] + [outputs[k].data[b] for k in ("center", "offsets", "visibility")]
+        got = matching.cost_matrix_from_arrays(targets, *arrays, run.loss).entries
+        want = matching.build_cost_matrix(targets, preds, run.loss).entries
+        assert got.tobytes() == want.tobytes()
+        for i, target in enumerate(targets):
+            assert [got[i, j] for j in range(len(preds))] == [matching.match_cost(target, p, run.loss) for p in preds]
+        expected.append(matching.hungarian_assign(want))
+    assert training._batch_assignments(batch, outputs, run.loss) == expected
+
+
+def test_non_finite_gradient_is_rejected_before_the_update():
+    params = {"a": np.array([0.5]), "w": np.array([0.5, -0.25, 2.0])}
+    state = init_optim_state(params, OptimConfig())
+    before = {name: p.copy() for name, p in params.items()}
+    grads = {"a": np.array([0.1]), "w": np.array([1.0, np.nan, 0.0])}
+    with pytest.raises(training.TrainBatchError, match="gradient of w"):
+        training.apply_gradients(params, grads, state, 1.0, 0.1)
+    with pytest.raises(training.TrainBatchError, match="non-finite loss"):
+        training.apply_gradients(params, {"a": np.ones(1), "w": np.ones(3)}, state, float("nan"), 0.0)
+    for name in params:
+        assert params[name].tobytes() == before[name].tobytes()
+        assert not state.m[name].any() and not state.v[name].any()
+    assert state.step == 0
+
+
+def test_finite_gradient_step_matches_clip_then_adamw():
+    params = {"w": np.array([0.5, -0.25, 2.0])}
+    reference = {"w": params["w"].copy()}
+    state = init_optim_state(params, OptimConfig())
+    ref_state = init_optim_state(reference, OptimConfig())
+    grads = {"w": np.array([1.0, -2.0, 0.5])}
+    norm = training.apply_gradients(params, grads, state, 1.0, 0.1)
+    clipped, ref_norm = clip_gradients(grads, 0.1)
+    adamw_step(reference, clipped, ref_state)
+    assert norm == ref_norm
+    assert params["w"].tobytes() == reference["w"].tobytes()
+
+
+def _three_epoch_run():
+    return parse_config(TINY_CFG_TEXT + "schedule.epochs = 3\n")
+
+
+def test_resume_into_fresh_directory_writes_headers(tmp_path):
+    run = _three_epoch_run()
+    train_run(run, str(tmp_path / "direct"))
+    fresh = tmp_path / "fresh"
+    train_run(run, str(fresh), resume=str(tmp_path / "direct" / "checkpoint_epoch0001.bin"))
+    for name in ("losses.csv", "map.csv", "per_layer_map.csv"):
+        direct = (tmp_path / "direct" / name).read_text().splitlines()
+        resumed = (fresh / name).read_text().splitlines()
+        assert resumed[0] == direct[0]
+        assert resumed[1:] == [line for line in direct[1:] if int(line.split(",")[0]) > 1]
+
+
+def test_resume_in_place_keeps_logs_byte_identical(tmp_path):
+    run = _three_epoch_run()
+    train_run(run, str(tmp_path / "direct"))
+    in_place = tmp_path / "in_place"
+    train_run(run, str(in_place))
+    train_run(run, str(in_place), resume=str(in_place / "checkpoint_epoch0001.bin"))
+    for name in ("losses.csv", "map.csv", "per_layer_map.csv"):
+        assert (in_place / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+    assert not list(in_place.glob("*.tmp"))
