@@ -300,16 +300,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, (a,), (lambda g: g * (1.0 - out * out),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, (a,), (lambda g: g * out,))
-
-
 def log(a: Tensor) -> Tensor:
     x = a.data
     return _make(np.log(x), (a,), (lambda g: g / x,))
@@ -397,17 +387,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
     in_shape = a.shape
     return _make(out, (a,), (lambda g: _restore_axes(g, in_shape, axis, keepdims).copy(),))
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
-    count = a.data.size / out.size
-
-    def vjp(g):
-        return _restore_axes(g, in_shape, axis, keepdims) / count
-
-    return _make(out, (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,12 @@ def cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             return _fail("eval needs --checkpoint or --predictions", USAGE_ERROR)
+        if dataset.render is None and any(s.image is None for s in dataset.samples):
+            return _fail(
+                f"{args.dataset} has no pixels to run a model on (COCO annotation files carry none): "
+                "use a synth set or a dataset cache, or pass --predictions",
+                USAGE_ERROR,
+            )
         from . import training as tr
 
         try:

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model
-from .loss import LossWeights, hungarian_loss_graph, loss_gradients
-from .matching import build_cost_matrix, hungarian_assign
+from .loss import LossWeights, hungarian_loss_graph
+from .matching import cost_matrix_from_arrays, hungarian_assign
 from .model import desk_config
-from .pose import PoseClass, PoseVector, PredictionSet, PredictionSlot, pad_targets
+from .pose import PoseClass, PoseVector, pad_targets
 
 OP_TOLERANCE = 1e-5
 LOSS_TOLERANCE = 1e-4
@@ -90,8 +90,6 @@ def check_ops(seed: int = 0) -> dict[str, float]:
         "take_rows": _max_rel_err(lambda t: ad.reduce_sum(ad.take_rows(t[0], [0, 0, 1])), [a23]),
         "relu": _max_rel_err(lambda t: ad.reduce_sum(ad.mul(ad.relu(t[0]), ad.Tensor(probe6))), [away_from_kinks((2, 3))]),
         "sigmoid": _max_rel_err(lambda t: ad.reduce_sum(ad.mul(ad.sigmoid(t[0]), ad.Tensor(probe6))), [a23 * 2]),
-        "tanh": _max_rel_err(lambda t: ad.reduce_sum(ad.mul(ad.tanh(t[0]), ad.Tensor(probe6))), [a23 * 2]),
-        "exp": _max_rel_err(lambda t: ad.reduce_sum(ad.mul(ad.exp(t[0]), ad.Tensor(probe6))), [a23]),
         "log": _max_rel_err(lambda t: ad.reduce_sum(ad.log(t[0])), [positive]),
         "abs": _max_rel_err(lambda t: ad.reduce_sum(ad.absolute(t[0])), [away_from_kinks((2, 3))]),
         "clamp_min": _max_rel_err(lambda t: ad.reduce_sum(ad.clamp_min(t[0], 0.5)), [positive + 0.4]),
@@ -103,7 +101,6 @@ def check_ops(seed: int = 0) -> dict[str, float]:
         "dropout": _max_rel_err(
             lambda t: ad.reduce_sum(ad.dropout(t[0], 0.3, train=True, rng=np.random.default_rng(7))), [a23]
         ),
-        "reduce_mean": _max_rel_err(lambda t: ad.reduce_mean(ad.mul(t[0], t[0])), [a23]),
         "reduce_sum_axis": _max_rel_err(
             lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t[0], axis=1), sum_probe)), [batch[0]]
         ),
@@ -150,21 +147,13 @@ def check_loss(seed: int = 0, cases: int = 100) -> float:
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, 6))
         targets, outputs = _random_instance(rng, n, k)
-        slots = []
-        for j in range(n):
-            pose = PoseVector(
-                tuple(outputs["center"][0, j]),
-                tuple(outputs["offsets"][0, j]),
-                tuple(outputs["visibility"][0, j]),
-                PoseClass.HUMAN,
-            )
-            slots.append(PredictionSlot(tuple(outputs["class_probs"][0, j]), pose))
-        assignment = hungarian_assign(build_cost_matrix(targets, PredictionSet(slots), weights))
+        preds = [outputs["class_probs"][0, :, 0]] + [outputs[key][0] for key in ("center", "offsets", "visibility")]
+        assignment = hungarian_assign(cost_matrix_from_arrays(targets, *preds, weights))
         humans = targets.num_humans
 
         tape = ad.Tape()
         tensors = {key: tape.leaf(v) for key, v in outputs.items()}
-        grads, _ = loss_gradients([targets], tensors, [assignment], weights, humans)
+        grads = ad.backward(hungarian_loss_graph([targets], tensors, [assignment], weights, humans)[0])
         for key in outputs:
             def f(t, key=key):
                 probe = {k2: ad.Tensor(v) for k2, v in outputs.items()}

@@ -4,9 +4,10 @@ The pose loss combines a visibility-masked L1 on keypoint offsets, a squared
 L2 on the duplicated visibility vector and a squared L2 on the center. The
 Hungarian loss adds a class negative log-likelihood over all slots (non-object
 slots down-weighted) and is evaluated at a fixed, externally supplied optimal
-assignment. Two implementations are kept: a plain-float reference used for
-matching costs and logging, and a tape-recorded version used for training;
-tests pin them against each other and against finite differences.
+assignment. The tape-recorded version is the one the package runs, for
+training and validation alike; on untaped tensors it yields plain floats. The
+plain-float hungarian_loss is kept as the test oracle it is pinned against,
+next to finite differences.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def hungarian_loss(
     num_humans_in_batch: int,
     num_images_in_batch: int = 1,
 ) -> LossBreakdown:
-    """Reference (plain-float) Hungarian loss for one image at a fixed assignment.
+    """Plain-float Hungarian loss for one image at a fixed assignment; the oracle for hungarian_loss_graph.
 
     The class NLL sums over all slots with the non-object weight applied and is
     divided by slots * images so its scale is batch-size stable; the pose
@@ -214,15 +215,3 @@ def hungarian_loss_graph(
         float(class_nll.data), float(keypoint_l1.data), float(visibility_l2.data), float(center_l2.data)
     )
     return total, breakdown
-
-
-def loss_gradients(
-    targets: Sequence[TargetSet],
-    outputs: dict[str, ad.Tensor],
-    assignments: Sequence,
-    weights: LossWeights,
-    num_humans_in_batch: int,
-) -> tuple[ad.Gradients, LossBreakdown]:
-    """Backward pass of the Hungarian loss w.r.t. every prediction output tensor."""
-    total, breakdown = hungarian_loss_graph(targets, outputs, assignments, weights, num_humans_in_batch)
-    return ad.backward(total), breakdown

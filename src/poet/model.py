@@ -342,7 +342,6 @@ def model_forward(
 def slots_from_outputs(outputs: dict[str, ad.Tensor], config: ModelConfig) -> list[PredictionSet]:
     """Materialize per-image prediction slots from head output tensors."""
     probs = outputs["class_probs"].data
-    logits = outputs["class_logits"].data
     center = outputs["center"].data
     offsets = outputs["offsets"].data
     vis = outputs["visibility"].data
@@ -351,6 +350,6 @@ def slots_from_outputs(outputs: dict[str, ad.Tensor], config: ModelConfig) -> li
         slots = []
         for j in range(probs.shape[1]):
             pose = PoseVector(tuple(center[b, j]), tuple(offsets[b, j]), tuple(vis[b, j]), PoseClass.HUMAN)
-            slots.append(PredictionSlot(tuple(probs[b, j]), pose, tuple(logits[b, j])))
+            slots.append(PredictionSlot(tuple(probs[b, j]), pose))
         sets.append(PredictionSet(slots))
     return sets

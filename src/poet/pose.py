@@ -97,7 +97,6 @@ class PredictionSlot:
 
     class_probs: tuple[float, float]  # (human, non-object)
     pose: PoseVector
-    class_logits: tuple[float, float] | None = None
 
     @property
     def score(self) -> float:

@@ -1,7 +1,7 @@
 """End-to-end optimization: batching, matching, loss, AdamW, logging, checkpoints.
 
 Each batch runs a tape-recorded forward pass, builds cost matrices from the
-detached slot values (matching never records tape nodes), solves the
+detached head-output arrays (matching never records tape nodes), solves the
 assignment per image, evaluates the Hungarian loss at that fixed assignment,
 and applies a clipped AdamW update with separate backbone/transformer
 learning rates. Epoch-level randomness (shuffle, dropout) derives from
@@ -21,9 +21,8 @@ from . import autodiff as ad
 from . import checkpoint, matching, metrics, model
 from .config import OptimConfig, RunConfig, ScheduleConfig, dump_config, validate_for_training
 from .data import Batch, Dataset, batch_iter, filter_for_training, load_dataset_cache, synth_generate
-from .loss import LossBreakdown, LossWeights, hungarian_loss, hungarian_loss_graph
+from .loss import LossBreakdown, LossWeights, hungarian_loss_graph
 from .model import ModelConfig
-from .pose import decode_pose
 
 log = logging.getLogger("poet.training")
 
@@ -164,8 +163,7 @@ def train_epoch(
     dropout_rng = np.random.default_rng([run.seed, _DROPOUT_STREAM, epoch])
     lr_t = effective_lr(run.optim.lr_transformer, run.schedule, epoch)
     lr_b = effective_lr(run.optim.lr_backbone, run.schedule, epoch)
-    accum = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
-    batches = 0
+    breakdowns = []
     for bi, batch in enumerate(batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], cfg.num_queries)):
         try:
             tape = ad.Tape()
@@ -183,33 +181,33 @@ def train_epoch(
             )
         except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
             raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
-        accum = accum.plus(breakdown)
-        batches += 1
-    if batches == 0:
+        breakdowns.append(breakdown)
+    if not breakdowns:
         raise TrainBatchError(f"epoch {epoch}: dataset produced no batches")
-    return accum.scaled(1.0 / batches)
+    return _mean_breakdown(breakdowns)
+
+
+def _batch_loss(batch: Batch, outputs: dict[str, ad.Tensor], weights: LossWeights) -> LossBreakdown:
+    assignments = _batch_assignments(batch, outputs, weights)
+    return hungarian_loss_graph(batch.targets, outputs, assignments, weights, batch.num_humans)[1]
+
+
+def _mean_breakdown(breakdowns: list[LossBreakdown]) -> LossBreakdown:
+    accum = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
+    for breakdown in breakdowns:
+        accum = accum.plus(breakdown)
+    return accum.scaled(1.0 / max(len(breakdowns), 1))
 
 
 def dataset_loss(params: dict[str, np.ndarray], dataset: Dataset, run: RunConfig) -> LossBreakdown:
     """Eval-mode Hungarian loss over a dataset (no dropout, no updates)."""
-    cfg = run.model
     cparams = model.constant_params(params)
-    accum = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
-    batches = 0
-    for batch in batch_iter(dataset, run.train.batch_size, None, cfg.num_queries):
-        outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, cfg, train=False)
-        assignments = _batch_assignments(batch, outputs, run.loss)
-        pred_sets = model.slots_from_outputs(outputs, cfg)
-        per_image = [
-            hungarian_loss(t, p, a, run.loss, batch.num_humans, num_images_in_batch=len(batch.targets))
-            for t, p, a in zip(batch.targets, pred_sets, assignments)
+    return _mean_breakdown(
+        [
+            _batch_loss(batch, model.model_forward(ad.Tensor(batch.images), cparams, run.model, train=False)[0], run.loss)
+            for batch in batch_iter(dataset, run.train.batch_size, None, run.model.num_queries)
         ]
-        batch_breakdown = per_image[0]
-        for extra in per_image[1:]:
-            batch_breakdown = batch_breakdown.plus(extra)
-        accum = accum.plus(batch_breakdown)
-        batches += 1
-    return accum.scaled(1.0 / max(batches, 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +232,32 @@ def ground_truths(dataset: Dataset) -> list[list[metrics.GroundTruthInstance]]:
     return out
 
 
-def detections_from_slots(pred_set, image_size, score_threshold: float, top_k: int) -> list[metrics.Detection]:
-    """Keep slots by score threshold (or the top-k highest scoring) and decode to pixels."""
-    slots = list(pred_set)
-    if top_k > 0:
-        order = sorted(range(len(slots)), key=lambda j: (-slots[j].score, j))[:top_k]
-        chosen = [slots[j] for j in order]
-    else:
-        chosen = [s for s in slots if s.score >= score_threshold]
+def _layer_outputs(images: np.ndarray, cparams: dict[str, ad.Tensor], cfg: ModelConfig) -> list[dict[str, ad.Tensor]]:
+    """Eval-mode head outputs of every decoder layer from one forward pass; the last layer's are model_forward's."""
+    outputs, states = model.model_forward(ad.Tensor(images), cparams, cfg, train=False)
+    return [model.head_forward(state, cparams, cfg) for state in states[:-1]] + [outputs]
+
+
+def _detections(outputs: dict[str, ad.Tensor], sizes, score_threshold: float, top_k: int) -> list[list[metrics.Detection]]:
+    """Per-image detections: slots kept by score threshold (or the top-k scores, ties by slot) and decoded to pixels."""
+    score = outputs["class_probs"].data[..., 0]
+    b, n = score.shape
+    center = outputs["center"].data[:, :, None, :]
+    pixels = (center + outputs["offsets"].data.reshape(b, n, -1, 2)) * np.asarray(sizes)[:, None, None, :]
     dets = []
-    for slot in chosen:
-        kps = decode_pose(slot.pose, image_size)
-        dets.append(metrics.Detection([(kp.x, kp.y) for kp in kps], slot.score))
+    for i in range(b):
+        keep = np.argsort(-score[i], kind="stable")[:top_k] if top_k > 0 else np.flatnonzero(score[i] >= score_threshold)
+        dets.append([metrics.Detection(pixels[i, j], score[i, j]) for j in keep])
     return dets
 
 
 def default_oks_params(num_keypoints: int) -> metrics.OksParams:
     return metrics.OksParams.coco17() if num_keypoints == 17 else metrics.OksParams.uniform(num_keypoints)
+
+
+def _score_layers(per_layer, dataset: Dataset, oks_params: metrics.OksParams) -> list[metrics.EvalResult]:
+    gts = ground_truths(dataset)
+    return [metrics.evaluate_detections(dets, gts, oks_params) for dets in per_layer]
 
 
 def evaluate(
@@ -262,20 +269,43 @@ def evaluate(
     oks_params: metrics.OksParams | None = None,
     batch_size: int = 32,
 ) -> tuple[metrics.EvalResult, list[metrics.EvalResult]]:
-    """Score the model on a dataset; returns (final result, one result per decoder layer)."""
-    oks_params = oks_params or default_oks_params(cfg.num_keypoints)
+    """Score the model on a dataset; returns (final result, one result per decoder layer).
+
+    Only pixels and annotations are read, so images may hold more people than the model has slots.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     cparams = model.constant_params(params)
     per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
-    for batch in batch_iter(dataset, batch_size, None, cfg.num_queries):
-        _, states = model.model_forward(ad.Tensor(batch.images), cparams, cfg, train=False)
-        for li, state in enumerate(states):
-            outputs = model.head_forward(state, cparams, cfg)
-            for b, pred_set in enumerate(model.slots_from_outputs(outputs, cfg)):
-                size = _sample_size(dataset, batch.indices[b])
-                per_layer[li].append(detections_from_slots(pred_set, size, score_threshold, top_k))
-    gts = ground_truths(dataset)
-    results = [metrics.evaluate_detections(dets, gts, oks_params) for dets in per_layer]
+    for start in range(0, len(dataset), batch_size):
+        indices = range(start, min(start + batch_size, len(dataset)))
+        images = np.stack([dataset.image(i) for i in indices])
+        sizes = [_sample_size(dataset, i) for i in indices]
+        for dets, outputs in zip(per_layer, _layer_outputs(images, cparams, cfg)):
+            dets += _detections(outputs, sizes, score_threshold, top_k)
+    results = _score_layers(per_layer, dataset, oks_params or default_oks_params(cfg.num_keypoints))
     return results[-1], results
+
+
+def validate(
+    params: dict[str, np.ndarray], dataset: Dataset, run: RunConfig
+) -> tuple[LossBreakdown, metrics.EvalResult, list[metrics.EvalResult]]:
+    """One eval-mode forward pass over a validation set: dataset_loss's loss plus evaluate's results.
+
+    Batches follow train.batch_size; detections use train.score_threshold and train.top_k.
+    """
+    cfg = run.model
+    cparams = model.constant_params(params)
+    losses = []
+    per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
+    for batch in batch_iter(dataset, run.train.batch_size, None, cfg.num_queries):
+        layers = _layer_outputs(batch.images, cparams, cfg)
+        losses.append(_batch_loss(batch, layers[-1], run.loss))
+        sizes = [_sample_size(dataset, i) for i in batch.indices]
+        for dets, outputs in zip(per_layer, layers):
+            dets += _detections(outputs, sizes, run.train.score_threshold, run.train.top_k)
+    results = _score_layers(per_layer, dataset, default_oks_params(cfg.num_keypoints))
+    return _mean_breakdown(losses), results[-1], results
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +442,8 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
                 epoch % run.train.eval_every == 0 or epoch == run.schedule.epochs
             )
             if should_eval:
-                val_breakdown = dataset_loss(params, val_ds, run)
+                val_breakdown, final, per_layer = validate(params, val_ds, run)
                 print(_loss_row(epoch, "val", val_breakdown), file=losses_fh)
-                final, per_layer = evaluate(
-                    params, run.model, val_ds, run.train.score_threshold, run.train.top_k,
-                    batch_size=run.train.batch_size,
-                )
                 last_eval = final
                 print(_format_row((epoch, *final.as_dict().values())), file=map_fh)
                 for li, res in enumerate(per_layer):

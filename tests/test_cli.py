@@ -251,6 +251,23 @@ def test_eval_keypoint_count_mismatch(tiny_cfg_path, tmp_path, capsys):
     assert "keypoints" in capsys.readouterr().err
 
 
+def test_eval_model_on_coco_annotations_exit_2(tiny_cfg_path, tmp_path, capsys):
+    from poet import model, training
+    from poet.config import dump_config, load_config
+    from poet.data import save_coco_keypoints
+
+    run = load_config(tiny_cfg_path)
+    ckpt = str(tmp_path / "ck.bin")
+    params = model.init_params(run.model, 0)
+    training.save_checkpoint(ckpt, params, training.init_optim_state(params, run.optim), 0)
+    Path(ckpt + ".cfg").write_text(dump_config(run))
+    ann = str(tmp_path / "ann.json")
+    save_coco_keypoints(training.resolve_dataset("synth", run, "val"), ann)
+    assert main(["eval", "--checkpoint", ckpt, "--dataset", ann]) == 2
+    err = capsys.readouterr().err
+    assert "no pixels" in err and "--predictions" in err
+
+
 def test_import_cli_does_not_load_numpy():
     # --threads must set the BLAS variables before numpy is first imported
     import poet

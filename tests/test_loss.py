@@ -10,7 +10,6 @@ from poet.loss import (
     LossWeights,
     hungarian_loss,
     hungarian_loss_graph,
-    loss_gradients,
     pose_loss,
 )
 from poet.matching import build_cost_matrix, hungarian_assign
@@ -169,7 +168,7 @@ def test_center_gradient_closed_form():
     assignment = hungarian_assign(build_cost_matrix(targets, preds, W))
     tape = ad.Tape()
     tensors = tensor_outputs(tape, outputs)
-    grads, _ = loss_gradients([targets], tensors, [assignment], W, 2)
+    grads = ad.backward(hungarian_loss_graph([targets], tensors, [assignment], W, 2)[0])
     g_center = grads.wrt(tensors["center"])
     for i, target in enumerate(targets):
         j = assignment.perm[i]
@@ -191,7 +190,7 @@ def test_gradients_match_finite_differences():
         humans = targets.num_humans
         tape = ad.Tape()
         tensors = tensor_outputs(tape, outputs)
-        grads, _ = loss_gradients([targets], tensors, [assignment], W, humans)
+        grads = ad.backward(hungarian_loss_graph([targets], tensors, [assignment], W, humans)[0])
         for key in ("class_probs", "center", "offsets", "visibility"):
             def f(t, key=key):
                 probe = {k2: ad.Tensor(v) for k2, v in outputs.items()}

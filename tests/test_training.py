@@ -7,13 +7,11 @@ from poet.config import OptimConfig, RunConfig, ScheduleConfig, parse_config
 from poet.data import synth_generate
 from poet.metrics import Detection, GroundTruthInstance
 from poet.model import desk_config
-from poet.pose import PoseClass, PoseVector, PredictionSet, PredictionSlot
 from poet.training import (
     OptimState,
     adamw_step,
     clip_gradients,
     dataset_loss,
-    detections_from_slots,
     effective_lr,
     evaluate,
     init_optim_state,
@@ -209,21 +207,142 @@ def test_evaluate_perfect_and_empty_threshold():
     assert result.ap == 1.0 and result.ar == 1.0
 
 
-def test_detections_from_slots_threshold_and_topk():
-    pose = PoseVector((0.5, 0.5), (0.1, 0.1), (0.9, 0.9), PoseClass.HUMAN)
-    slots = PredictionSet(
-        [
-            PredictionSlot((0.9, 0.1), pose),
-            PredictionSlot((0.4, 0.6), pose),
-            PredictionSlot((0.7, 0.3), pose),
+def test_detections_threshold_and_topk():
+    # four slots of one image, one keypoint each; ties in score keep slot order under top-k
+    outputs = {
+        "class_probs": ad.Tensor(np.array([[[0.9, 0.1], [0.4, 0.6], [0.7, 0.3], [0.9, 0.1]]])),
+        "center": ad.Tensor(np.full((1, 4, 2), 0.5)),
+        "offsets": ad.Tensor(np.array([[[0.1, 0.1], [0.0, 0.0], [-0.1, 0.2], [0.2, 0.0]]])),
+    }
+    (by_threshold,) = training._detections(outputs, [(100.0, 50.0)], 0.5, 0)
+    assert [d.score for d in by_threshold] == [0.9, 0.7, 0.9]
+    np.testing.assert_array_equal(by_threshold[1].keypoints, [[(0.5 - 0.1) * 100.0, (0.5 + 0.2) * 50.0]])
+    (top2,) = training._detections(outputs, [(100.0, 50.0)], 0.5, 2)
+    assert [d.score for d in top2] == [0.9, 0.9]
+    np.testing.assert_array_equal(top2[1].keypoints, [[(0.5 + 0.2) * 100.0, 0.5 * 50.0]])
+    assert training._detections(outputs, [(100.0, 50.0)], 1.0, 0) == [[]]
+
+
+def _slot_path_detections(params, cfg, dataset, score_threshold, top_k, batch_size):
+    """Per-layer detections through prediction-slot objects and decode_pose, one slot at a time."""
+    from poet.data import batch_iter
+    from poet.pose import decode_pose
+
+    cparams = model.constant_params(params)
+    per_layer = [[] for _ in range(cfg.dec_layers)]
+    for batch in batch_iter(dataset, batch_size, None, cfg.num_queries):
+        _, states = model.model_forward(ad.Tensor(batch.images), cparams, cfg, train=False)
+        for li, state in enumerate(states):
+            for b, pred_set in enumerate(model.slots_from_outputs(model.head_forward(state, cparams, cfg), cfg)):
+                slots = list(pred_set)
+                if top_k > 0:
+                    chosen = [slots[j] for j in sorted(range(len(slots)), key=lambda j: (-slots[j].score, j))[:top_k]]
+                else:
+                    chosen = [slot for slot in slots if slot.score >= score_threshold]
+                size = training._sample_size(dataset, batch.indices[b])
+                per_layer[li].append(
+                    [Detection([(kp.x, kp.y) for kp in decode_pose(slot.pose, size)], slot.score) for slot in chosen]
+                )
+    return per_layer
+
+
+@pytest.mark.parametrize("score_threshold,top_k", [(0.0, 0), (0.5, 0), (0.0, 3)])
+def test_evaluate_equals_slot_path(score_threshold, top_k, monkeypatch):
+    from poet import metrics
+
+    run = tiny_run()
+    dataset = training.resolve_dataset("synth", run, "val")
+    params = model.init_params(run.model, 4)
+    params["head.class.bias"] = np.array([1.0, 0.0])  # human scores on both sides of 0.5 in every layer
+    scored = []
+    score = metrics.evaluate_detections
+
+    def recording(detections, *args):
+        scored.append(detections)
+        return score(detections, *args)
+
+    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    final, per_layer = evaluate(params, run.model, dataset, score_threshold, top_k, batch_size=5)
+    expected = _slot_path_detections(params, run.model, dataset, score_threshold, top_k, batch_size=5)
+    assert len(scored) == len(expected) == run.model.dec_layers
+    for got_layer, want_layer in zip(scored, expected):
+        assert [[(d.keypoints.tobytes(), d.score) for d in img] for img in got_layer] == [
+            [(d.keypoints.tobytes(), d.score) for d in img] for img in want_layer
         ]
-    )
-    by_threshold = detections_from_slots(slots, (100, 100), 0.5, 0)
-    assert [d.score for d in by_threshold] == [0.9, 0.7]
-    top1 = detections_from_slots(slots, (100, 100), 0.5, 1)
-    assert [d.score for d in top1] == [0.9]
-    none = detections_from_slots(slots, (100, 100), 1.0, 0)
-    assert none == []
+    gts = training.ground_truths(dataset)
+    oks_params = training.default_oks_params(run.model.num_keypoints)
+    assert per_layer == [score(dets, gts, oks_params) for dets in expected]
+    assert final == per_layer[-1] and final.ap is not None
+
+
+def test_validate_matches_dataset_loss_and_evaluate():
+    run = parse_config(TINY_CFG_TEXT + "train.score_threshold = 0.3\ntrain.top_k = 2\n")
+    dataset = training.resolve_dataset("synth", run, "val")
+    params = model.init_params(run.model, 6)
+    loss, final, per_layer = training.validate(params, dataset, run)
+    assert loss == dataset_loss(params, dataset, run)
+    expected = evaluate(params, run.model, dataset, 0.3, 2, batch_size=run.train.batch_size)
+    assert (final, per_layer) == expected
+
+
+def test_dataset_loss_matches_per_image_reference_loss():
+    from poet.data import batch_iter
+    from poet.loss import LossBreakdown, hungarian_loss
+
+    run = tiny_run()
+    dataset = training.resolve_dataset("synth", run, "val")
+    params = model.init_params(run.model, 2)
+    cparams = model.constant_params(params)
+    batches = []
+    for batch in batch_iter(dataset, run.train.batch_size, None, run.model.num_queries):
+        outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, run.model, train=False)
+        assignments = training._batch_assignments(batch, outputs, run.loss)
+        per_image = [
+            hungarian_loss(t, p, a, run.loss, batch.num_humans, num_images_in_batch=len(batch.targets))
+            for t, p, a in zip(batch.targets, model.slots_from_outputs(outputs, run.model), assignments)
+        ]
+        total = per_image[0]
+        for extra in per_image[1:]:
+            total = total.plus(extra)
+        batches.append(total)
+    expected = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
+    for b in batches:
+        expected = expected.plus(b)
+    expected = expected.scaled(1.0 / len(batches))
+    got = dataset_loss(params, dataset, run)
+    for field in ("total", "class_nll", "keypoint_l1", "visibility_l2", "center_l2"):
+        assert abs(getattr(got, field) - getattr(expected, field)) <= 1e-12
+
+
+def test_evaluate_images_with_more_people_than_slots():
+    run = parse_config(TINY_CFG_TEXT + "synth.max_instances = 9\nsynth.min_instances = 9\n")
+    dataset = synth_generate(run.synth)
+    assert min(len(s.annotations) for s in dataset.samples) > run.model.num_queries
+    final, per_layer = evaluate(model.init_params(run.model, 1), run.model, dataset, score_threshold=0.0)
+    assert len(per_layer) == run.model.dec_layers
+    assert final == per_layer[-1] and final.ap is not None
+
+
+def test_train_run_one_forward_per_batch_and_no_slot_objects(tmp_path, monkeypatch):
+    run = tiny_run()
+    modes = []
+    forward = model.model_forward
+
+    def counting(images, params, cfg, train=False, rng=None):
+        modes.append(train)
+        return forward(images, params, cfg, train, rng)
+
+    def no_slots(*args, **kwargs):
+        raise AssertionError("training built prediction-slot objects")
+
+    monkeypatch.setattr(model, "model_forward", counting)
+    monkeypatch.setattr(model, "slots_from_outputs", no_slots)
+    summary = train_run(run, str(tmp_path / "run"))
+    kept = run.synth.num_samples - summary["dropped_empty"] - summary["dropped_overfull"]
+    evals = sum(1 for line in (tmp_path / "run" / "losses.csv").read_text().splitlines() if ",val," in line)
+    assert evals == run.schedule.epochs
+    assert modes.count(True) == run.schedule.epochs * -(-kept // run.train.batch_size)
+    assert modes.count(False) == evals * -(-run.train.val_samples // run.train.batch_size)
 
 
 def test_evaluate_per_layer_count_and_threshold_one():
