@@ -8,6 +8,7 @@ deterministic caller produces byte-identical files.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Mapping
 
@@ -22,19 +23,31 @@ class ContainerError(ValueError):
 
 
 def save_arrays(path: str, arrays: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")  # ascontiguousarray would promote rank 0 to rank 1
-            if not arr.flags.c_contiguous:
-                arr = np.ascontiguousarray(arr)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write the container beside ``path`` under a temporary name, then rename it over ``path``.
+
+    A write that fails partway leaves any earlier file at ``path`` as it was
+    and removes the temporary file.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr, dtype="<f8")  # ascontiguousarray would promote rank 0 to rank 1
+                if not arr.flags.c_contiguous:
+                    arr = np.ascontiguousarray(arr)
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_arrays(path: str) -> dict[str, np.ndarray]:

@@ -64,7 +64,7 @@ def cmd_train(args) -> int:
     (out / "effective.cfg").write_text(dump_config(run), encoding="utf-8")
     try:
         summary = training.train_run(run, args.out_dir, resume=args.resume)
-    except (ConfigError, ParseError, FileNotFoundError) as e:
+    except (ConfigError, ParseError, FileNotFoundError, training.CheckpointMismatch) as e:
         return _fail(str(e), USAGE_ERROR)
     except (training.TrainBatchError, ValueError) as e:
         return _fail(str(e), VERIFY_ERROR)
@@ -156,7 +156,8 @@ def cmd_eval(args) -> int:
 
         try:
             params, _, _ = tr.load_checkpoint(args.checkpoint, run.optim)
-        except Exception as e:  # container or IO failure
+            tr.check_params(params, run.model)
+        except Exception as e:  # container, IO or config mismatch
             return _fail(f"cannot load checkpoint {args.checkpoint}: {e}", USAGE_ERROR)
         if dataset.num_keypoints != run.model.num_keypoints:
             return _fail(

@@ -2,10 +2,12 @@
 
 OKS is an exponential of squared keypoint distances normalized by object
 scale and per-keypoint constants, averaged over ground-truth-visible
-keypoints. Detections are greedily matched per image in descending score
-order at each OKS threshold; precision-recall curves accumulate across
-images and are summarized by 101-point interpolated AP and final recall,
-swept over thresholds 0.50:0.05:0.95 and the medium/large size buckets.
+keypoints. Each image's detection x ground-truth OKS matrix is computed
+once, one ``oks`` call per pair, and the sweep over thresholds
+0.50:0.05:0.95 and the medium/large size buckets reads it: at each
+threshold, detections are greedily matched per image in descending score
+order, and precision-recall curves accumulate across images, summarized by
+101-point interpolated AP and final recall.
 
 Instances are bucketed by ground-truth area: the provided annotation area
 when available, otherwise the tight bounding box of visible keypoints (sides
@@ -144,41 +146,53 @@ def oks(pred_keypoints, gt_keypoints, gt_visibility, scale: float, params: OksPa
     return float(e.sum() / mask.sum())
 
 
-def _oks_of(det: Detection, gt: GroundTruthInstance, params: OksParams) -> float:
-    return oks(det.keypoints, gt.keypoints, gt.visibility, np.sqrt(gt.effective_area()), params)
+@dataclass(frozen=True)
+class _ScoredImage:
+    """What the threshold and bucket sweep reads of one image, computed once."""
+
+    scores: tuple[float, ...]
+    order: tuple[int, ...]  # detections by descending score, then index
+    oks: list[list[float]]  # [detection][ground truth]; 0.0 in columns without visible keypoints
+    visible: tuple[bool, ...]
+    areas: tuple[float, ...]  # effective area of each visible ground truth
 
 
-def _match_image(dets, gts, gt_valid, threshold, params):
+def _score_image(dets: Sequence[Detection], gts: Sequence[GroundTruthInstance], params: OksParams) -> _ScoredImage:
+    """One ``oks`` call per pair of a detection and a ground truth with visible keypoints."""
+    visible = tuple(gt.num_visible > 0 for gt in gts)
+    areas = tuple(gt.effective_area() if vis else 0.0 for gt, vis in zip(gts, visible))
+    matrix = [[0.0] * len(gts) for _ in dets]
+    for j, gt in enumerate(gts):
+        if visible[j]:
+            scale = np.sqrt(areas[j])
+            for row, det in zip(matrix, dets):
+                row[j] = oks(det.keypoints, gt.keypoints, gt.visibility, scale, params)
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    return _ScoredImage(tuple(det.score for det in dets), tuple(order), matrix, visible, areas)
+
+
+def _match_image(image: _ScoredImage, valid, threshold):
     """Greedy per-image matching: best remaining OKS >= threshold wins.
 
-    Returns (score, is_tp) records for detections that enter the PR curve;
-    detections whose only match is an ignored ground truth are dropped.
+    Each detection, by descending score, takes its best untaken valid ground
+    truth (strict ``>`` from 0.0, so the first maximum wins). Returns
+    (score, is_tp) records for detections that enter the PR curve;
+    detections whose only match is an ignored ground truth (visible but not
+    valid) are dropped.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
+    taken = [False] * len(valid)
     records = []
-    for di in order:
-        det = dets[di]
+    for di in image.order:
+        row = image.oks[di]
         best_j, best_oks = -1, 0.0
-        for j, gt in enumerate(gts):
-            if taken[j] or not gt_valid[j] or gt.num_visible == 0:
-                continue
-            value = _oks_of(det, gt, params)
-            if value > best_oks:
+        for j, value in enumerate(row):
+            if valid[j] and not taken[j] and value > best_oks:
                 best_j, best_oks = j, value
         if best_j >= 0 and best_oks >= threshold:
             taken[best_j] = True
-            records.append((det.score, True))
-            continue
-        ignored = False
-        for j, gt in enumerate(gts):
-            if taken[j] or gt_valid[j] or gt.num_visible == 0:
-                continue
-            if _oks_of(det, gt, params) >= threshold:
-                ignored = True
-                break
-        if not ignored:
-            records.append((det.score, False))
+            records.append((image.scores[di], True))
+        elif not any(vis and not ok and value >= threshold for vis, ok, value in zip(image.visible, valid, row)):
+            records.append((image.scores[di], False))
     return records
 
 
@@ -194,34 +208,27 @@ def _pr_summary(all_records, num_gt):
     recall = tp / num_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
     # precision envelope: best precision at any recall >= r
-    env = precision.copy()
-    for i in range(len(env) - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
+    env = np.maximum.accumulate(precision[::-1])[::-1]
     levels = np.linspace(0.0, 1.0, 101)
     idx = np.searchsorted(recall, levels, side="left")
     interp = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
     return float(interp.mean()), float(recall[-1])
 
 
-def _bucket_valid(gt: GroundTruthInstance, bucket) -> bool:
-    if gt.num_visible == 0:
-        return False
-    if bucket is None:
-        return True
-    lo, hi = bucket
-    return lo <= gt.effective_area() < hi
-
-
-def _sweep(detections, ground_truths, thresholds, params, bucket):
-    valid_per_image = [[_bucket_valid(gt, bucket) for gt in gts] for gts in ground_truths]
+def _sweep(images: Sequence[_ScoredImage], thresholds, bucket):
+    """{threshold: (AP, recall)} over ground truths in the area bucket (None: all); the rest are ignored."""
+    valid_per_image = [
+        [vis and (bucket is None or bucket[0] <= area < bucket[1]) for vis, area in zip(image.visible, image.areas)]
+        for image in images
+    ]
     num_gt = sum(sum(v) for v in valid_per_image)
     if num_gt == 0:
         return {t: (None, None) for t in thresholds}
     out = {}
     for t in thresholds:
         records = []
-        for img, (dets, gts) in enumerate(zip(detections, ground_truths)):
-            for di, (score, is_tp) in enumerate(_match_image(dets, gts, valid_per_image[img], t, params)):
+        for img, image in enumerate(images):
+            for di, (score, is_tp) in enumerate(_match_image(image, valid_per_image[img], t)):
                 records.append((score, img, di, is_tp))
         out[t] = _pr_summary(records, num_gt)
     return out
@@ -242,12 +249,13 @@ def evaluate_detections(
     if len(detections) != len(ground_truths):
         raise ValueError(f"image counts differ: {len(detections)} detection lists, {len(ground_truths)} gt lists")
     thresholds = tuple(thresholds)
-    if not any(gt.num_visible > 0 for gts in ground_truths for gt in gts):
+    images = [_score_image(dets, gts, params) for dets, gts in zip(detections, ground_truths)]
+    if not any(any(image.visible) for image in images):
         # nothing to score: every field is undefined, not zero
         return EvalResult(*(None,) * 10)
-    all_b = _sweep(detections, ground_truths, thresholds, params, None)
-    med_b = _sweep(detections, ground_truths, thresholds, params, MEDIUM_RANGE)
-    lrg_b = _sweep(detections, ground_truths, thresholds, params, LARGE_RANGE)
+    all_b = _sweep(images, thresholds, None)
+    med_b = _sweep(images, thresholds, MEDIUM_RANGE)
+    lrg_b = _sweep(images, thresholds, LARGE_RANGE)
 
     def at(bucket, t, idx):
         return bucket[t][idx]

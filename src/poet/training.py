@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint, matching, metrics, model
-from .config import OptimConfig, RunConfig, ScheduleConfig, dump_config, validate_for_training
+from .config import ConfigError, OptimConfig, RunConfig, ScheduleConfig, dump_config, validate_for_training
 from .data import Batch, Dataset, batch_iter, filter_for_training, load_dataset_cache, synth_generate
 from .loss import LossBreakdown, LossWeights, hungarian_loss_graph
 from .model import ModelConfig
@@ -32,6 +32,10 @@ _DROPOUT_STREAM = 202
 
 class TrainBatchError(RuntimeError):
     """A batch failed; the message carries the epoch/batch position."""
+
+
+class CheckpointMismatch(ValueError):
+    """A checkpoint's parameter names or shapes differ from the model config's."""
 
 
 @dataclass
@@ -344,6 +348,21 @@ def load_checkpoint(path: str, optim_config: OptimConfig) -> tuple[dict[str, np.
     return params, OptimState(m, v, step, optim_config), epoch
 
 
+def check_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Raise CheckpointMismatch unless the parameters have exactly model.param_specs(cfg)'s names and shapes."""
+    expected = {name: shape for name, shape, _ in model.param_specs(cfg)}
+    problems = [f"missing {name}" for name in expected if name not in params]
+    problems += [f"unexpected {name}" for name in params if name not in expected]
+    problems += [
+        f"{name} has shape {params[name].shape}, the config gives {shape}"
+        for name, shape in expected.items()
+        if name in params and params[name].shape != shape
+    ]
+    if problems:
+        shown = "; ".join(problems[:3]) + (f"; and {len(problems) - 3} more" if len(problems) > 3 else "")
+        raise CheckpointMismatch(f"checkpoint does not match the model config: {shown}")
+
+
 # ---------------------------------------------------------------------------
 # full run
 
@@ -408,9 +427,18 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
     if len(train_ds) == 0:
         raise ValueError("no trainable samples after filtering")
     val_ds = resolve_dataset(run.train.val_dataset, run, "val")
+    if val_ds is not None and run.train.eval_every > 0:
+        # the validation loss pads each image's people to the slot count
+        most = max((sum(a.num_visible > 0 for a in s.annotations) for s in val_ds.samples), default=0)
+        if most > run.model.num_queries:
+            raise ConfigError(
+                f"the validation set has an image with {most} people, more than the model's "
+                f"{run.model.num_queries} prediction slots"
+            )
 
     if resume:
         params, optim, start_epoch = load_checkpoint(resume, run.optim)
+        check_params(params, run.model)
         log.info("resumed from %s at epoch %d", resume, start_epoch)
     else:
         params = model.init_params(run.model, run.seed)

@@ -62,3 +62,18 @@ def test_scalar_rank_zero(tmp_path):
     save_arrays(path, {"s": np.array(3.5)})
     back = load_arrays(path)
     assert back["s"].shape == () and float(back["s"]) == 3.5
+
+
+class _FailsToEncode:
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("encoding failed")
+
+
+def test_failed_write_leaves_earlier_file_and_no_temporary(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_arrays(str(path), {"a": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="encoding failed"):
+        save_arrays(str(path), {"a": np.arange(4.0), "b": _FailsToEncode()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]

@@ -276,3 +276,53 @@ def test_import_cli_does_not_load_numpy():
     code = "import sys, poet.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def _init_checkpoint(cfg_path, tmp_path):
+    from poet import model, training
+    from poet.config import dump_config, load_config
+
+    run = load_config(cfg_path)
+    ckpt = str(tmp_path / "init.bin")
+    params = model.init_params(run.model, 0)
+    training.save_checkpoint(ckpt, params, training.init_optim_state(params, run.optim), 0)
+    Path(ckpt + ".cfg").write_text(dump_config(run))
+    return ckpt
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["model.enc_layers=2"], ["model.d_model=32", "model.ffn_hidden=48"], ["model.ffn_hidden=32"]],
+    ids=["missing-layer", "wider-model", "wider-ffn"],
+)
+def test_eval_checkpoint_config_mismatch_exit_2(tiny_cfg_path, tmp_path, capsys, overrides):
+    ckpt = _init_checkpoint(tiny_cfg_path, tmp_path)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["eval", "--checkpoint", ckpt, *sets]) == 2
+    assert "does not match the model config" in capsys.readouterr().err
+
+
+def test_train_resume_config_mismatch_exit_2(tiny_cfg_path, tmp_path, capsys):
+    ckpt = _init_checkpoint(tiny_cfg_path, tmp_path)
+    out = tmp_path / "resumed"
+    code = main(["train", "--config", tiny_cfg_path, "--resume", ckpt, "--set", "model.ffn_hidden=32", "--out-dir", str(out)])
+    assert code == 2
+    assert "does not match the model config" in capsys.readouterr().err
+    assert not (out / "checkpoint_final.bin").exists() and not (out / "losses.csv").exists()
+
+
+def test_train_val_set_over_slot_capacity_exit_2(tiny_cfg_path, tmp_path, capsys):
+    # the val set is checked before epoch 1, not at its first validation
+    from dataclasses import replace
+
+    from poet.config import load_config
+    from poet.data import save_dataset_cache, synth_generate
+
+    run = load_config(tiny_cfg_path)
+    crowd = str(tmp_path / "crowd.bin")
+    save_dataset_cache(synth_generate(replace(run.synth, num_samples=4, min_instances=5, max_instances=5)), crowd)
+    out = tmp_path / "run"
+    code = main(["train", "--config", tiny_cfg_path, "--set", f"train.val_dataset={crowd}", "--out-dir", str(out)])
+    assert code == 2
+    assert "5 people" in capsys.readouterr().err
+    assert not (out / "losses.csv").exists() and not (out / "checkpoint_final.bin").exists()

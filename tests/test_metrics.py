@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from poet import metrics
 from poet.metrics import (
     COCO_K17,
     DEFAULT_THRESHOLDS,
     Detection,
     EvalResult,
     GroundTruthInstance,
+    LARGE_RANGE,
+    MEDIUM_RANGE,
     NoVisibleKeypoints,
     OksParams,
     evaluate_detections,
@@ -214,3 +218,218 @@ def test_load_detections_coco(tmp_path):
     assert len(per_image) == 2
     np.testing.assert_allclose(per_image[0][0].keypoints, [[1, 2], [3, 4]])
     assert per_image[1][0].score == 0.7
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: the per-threshold matcher, recomputing OKS per pair, threshold and bucket
+
+
+def _oracle_oks(det, g, params):
+    return oks(det.keypoints, g.keypoints, g.visibility, np.sqrt(g.effective_area()), params)
+
+
+def _oracle_match_image(dets, gts, gt_valid, threshold, params, pair_oks):
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    taken = [False] * len(gts)
+    records = []
+    for di in order:
+        d = dets[di]
+        best_j, best_oks = -1, 0.0
+        for j, g in enumerate(gts):
+            if taken[j] or not gt_valid[j] or g.num_visible == 0:
+                continue
+            value = pair_oks(d, g, params)
+            if value > best_oks:
+                best_j, best_oks = j, value
+        if best_j >= 0 and best_oks >= threshold:
+            taken[best_j] = True
+            records.append((d.score, True))
+            continue
+        ignored = False
+        for j, g in enumerate(gts):
+            if taken[j] or gt_valid[j] or g.num_visible == 0:
+                continue
+            if pair_oks(d, g, params) >= threshold:
+                ignored = True
+                break
+        if not ignored:
+            records.append((d.score, False))
+    return records
+
+
+def _oracle_pr_summary(all_records, num_gt):
+    if num_gt == 0:
+        return None, None
+    if not all_records:
+        return 0.0, 0.0
+    all_records.sort(key=lambda r: (-r[0], r[1], r[2]))
+    tp = np.cumsum([1.0 if r[3] else 0.0 for r in all_records])
+    fp = np.cumsum([0.0 if r[3] else 1.0 for r in all_records])
+    recall = tp / num_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    env = precision.copy()
+    for i in range(len(env) - 2, -1, -1):
+        env[i] = max(env[i], env[i + 1])
+    levels = np.linspace(0.0, 1.0, 101)
+    idx = np.searchsorted(recall, levels, side="left")
+    interp = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
+    return float(interp.mean()), float(recall[-1])
+
+
+def _oracle_bucket_valid(g, bucket):
+    if g.num_visible == 0:
+        return False
+    if bucket is None:
+        return True
+    lo, hi = bucket
+    return lo <= g.effective_area() < hi
+
+
+def _oracle_sweep(detections, ground_truths, thresholds, params, bucket, pair_oks):
+    valid_per_image = [[_oracle_bucket_valid(g, bucket) for g in gts] for gts in ground_truths]
+    num_gt = sum(sum(v) for v in valid_per_image)
+    if num_gt == 0:
+        return {t: (None, None) for t in thresholds}
+    out = {}
+    for t in thresholds:
+        records = []
+        for img, (dets, gts) in enumerate(zip(detections, ground_truths)):
+            matched = _oracle_match_image(dets, gts, valid_per_image[img], t, params, pair_oks)
+            for di, (score, is_tp) in enumerate(matched):
+                records.append((score, img, di, is_tp))
+        out[t] = _oracle_pr_summary(records, num_gt)
+    return out
+
+
+def _oracle_mean(values):
+    values = [v for v in values if v is not None]
+    return float(np.mean(values)) if values else None
+
+
+def oracle_evaluate(detections, ground_truths, params, thresholds=DEFAULT_THRESHOLDS, pair_oks=_oracle_oks):
+    thresholds = tuple(thresholds)
+    if not any(g.num_visible > 0 for gts in ground_truths for g in gts):
+        return EvalResult(*(None,) * 10)
+    all_b, med_b, lrg_b = (
+        _oracle_sweep(detections, ground_truths, thresholds, params, bucket, pair_oks)
+        for bucket in (None, MEDIUM_RANGE, LARGE_RANGE)
+    )
+    return EvalResult(
+        ap=_oracle_mean([all_b[t][0] for t in thresholds]),
+        ap50=all_b[0.5][0] if 0.5 in all_b else None,
+        ap75=all_b[0.75][0] if 0.75 in all_b else None,
+        ap_m=_oracle_mean([med_b[t][0] for t in thresholds]),
+        ap_l=_oracle_mean([lrg_b[t][0] for t in thresholds]),
+        ar=_oracle_mean([all_b[t][1] for t in thresholds]),
+        ar50=all_b[0.5][1] if 0.5 in all_b else None,
+        ar75=all_b[0.75][1] if 0.75 in all_b else None,
+        ar_m=_oracle_mean([med_b[t][1] for t in thresholds]),
+        ar_l=_oracle_mean([lrg_b[t][1] for t in thresholds]),
+    )
+
+
+# no area (keypoint box), small, the lower medium edge, medium, just under and at the large edge, large
+GIVEN_AREAS = (None, 20.0**2, 32.0**2, 50.0**2, 96.0**2 - 1.0, 96.0**2, 150.0**2)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Images of people with mixed visibility and areas, and detections near them or not, with score ties."""
+    k = draw(st.sampled_from([5, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    detections, ground_truths = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        gts = []
+        for _ in range(draw(st.integers(0, 3))):
+            if gts and draw(st.booleans()):
+                # the same keypoints and area, labeled differently: an exact copy of them scores
+                # 1.0 against both, a tie only the first-maximum rule settles
+                points, area = gts[-1].keypoints, gts[-1].area
+            else:
+                spread = draw(st.sampled_from([4.0, 25.0, 80.0]))
+                points = rng.uniform(50, 250, 2) + rng.normal(0, spread, (k, 2))
+                area = draw(st.sampled_from(GIVEN_AREAS))
+            vis = {"all": np.full(k, 2.0), "some": rng.integers(0, 3, k).astype(float), "none": np.zeros(k)}[
+                draw(st.sampled_from(["all", "some", "none"]))
+            ]
+            gts.append(GroundTruthInstance(points, vis, area))
+        dets = []
+        for _ in range(draw(st.integers(0, 5))):
+            target = draw(st.integers(-1, len(gts) - 1))
+            if target < 0:
+                points = rng.uniform(0, 300, (k, 2))
+            else:
+                points = gts[target].keypoints + rng.normal(0, draw(st.sampled_from([0.0, 0.5, 3.0, 10.0, 40.0])), (k, 2))
+            dets.append(Detection(points, draw(st.sampled_from([0.2, 0.5, 0.9]))))
+        detections.append(dets)
+        ground_truths.append(gts)
+    params = OksParams.coco17() if k == 17 else OksParams.uniform(k)
+    return detections, ground_truths, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases())
+def test_evaluate_detections_equals_per_threshold_oracle(case):
+    detections, ground_truths, params = case
+    assert evaluate_detections(detections, ground_truths, params) == oracle_evaluate(detections, ground_truths, params)
+
+
+def test_oracle_cases_cover_ties_ignored_and_invisible_ground_truths():
+    # the fixed cases below hold what the hypothesis search may miss: a score tie between
+    # detections of one person, a visible person outside both buckets (ignored in each), an
+    # invisible person, images without detections or without people, and two people with the
+    # same keypoints and area labeled differently, whom an exact copy ties at OKS 1.0: the first
+    # maximum takes `twin_a`, which leaves `twin_b` (OKS 1.0) to the second detection
+    a = gt([(10, 10), (40, 40)], area=50.0**2)
+    b = gt([(100, 10), (140, 40)], area=150.0**2)
+    small = gt([(200, 200), (205, 204)])
+    hidden = gt([(10, 10), (40, 40)], vis=[0, 0])
+    twin_a = gt([(60, 60), (90, 90)], area=50.0**2)
+    twin_b = gt([(60, 60), (90, 90)], vis=[2, 0], area=50.0**2)
+    detections = [
+        [det(a.keypoints, 0.5), det(a.keypoints + 1.0, 0.5), det(b.keypoints + 2.0, 0.7), det(small.keypoints, 0.6)],
+        [],
+        [det([(0, 0), (1, 1)], 0.3)],
+        [det(twin_a.keypoints, 0.9), det([(60, 60), (300, 300)], 0.8)],
+    ]
+    ground_truths = [[a, b, small, hidden], [a], [], [twin_a, twin_b]]
+    result = evaluate_detections(detections, ground_truths, P2)
+    assert result == oracle_evaluate(detections, ground_truths, P2)
+    assert result.ap_m is not None and result.ap_l is not None
+
+
+def test_oks_is_called_once_per_visible_pair_and_is_all_the_sweep_reads(monkeypatch):
+    # metrics.oks is replaced on the module, as the benchmark's check and tracer replace it.
+    # It returns a random value per call, so a value read from anywhere else shows; values
+    # equal to 0.0 or to a threshold, and ties, pin the strict ">" and the ">= threshold" rules
+    rng = np.random.default_rng(4)
+    detections, ground_truths = [], []
+    for n_gts, n_dets in ((3, 4), (0, 2), (2, 0), (4, 6)):
+        gts = [
+            GroundTruthInstance(rng.uniform(0, 200, (5, 2)), rng.integers(0, 3, 5) * (j % 3 != 1), rng.choice([None, 40.0**2, 120.0**2]))
+            for j in range(n_gts)
+        ]
+        ground_truths.append(gts)
+        detections.append([Detection(rng.uniform(0, 200, (5, 2)), rng.choice([0.4, 0.8])) for _ in range(n_dets)])
+    params = OksParams.uniform(5)
+    returned, scales = {}, {}
+
+    def recording(pred, gt_keypoints, gt_visibility, scale, oks_params):
+        key = (np.asarray(pred).tobytes(), np.asarray(gt_keypoints).tobytes())
+        assert key not in returned, "a pair was scored twice"
+        returned[key] = float(rng.choice([0.0, 0.5, 0.75, 0.9, 0.95, 1.0, rng.uniform(0.3, 1.0)]))
+        scales[key] = scale
+        return returned[key]
+
+    monkeypatch.setattr(metrics, "oks", recording)
+    result = evaluate_detections(detections, ground_truths, params)
+    pair_scales = {
+        (d.keypoints.tobytes(), g.keypoints.tobytes()): np.sqrt(g.effective_area())
+        for dets, gts in zip(detections, ground_truths)
+        for d in dets
+        for g in gts
+        if g.num_visible > 0
+    }
+    assert scales == pair_scales and len(pair_scales) > 20
+    recorded = lambda d, g, _: returned[(d.keypoints.tobytes(), g.keypoints.tobytes())]
+    assert result == oracle_evaluate(detections, ground_truths, params, pair_oks=recorded)
