@@ -140,9 +140,9 @@ def cmd_eval(args) -> int:
             else:
                 ids = [s.image_id if s.image_id is not None else i + 1 for i, s in enumerate(dataset.samples)]
                 dets = metrics.load_detections_coco(args.predictions, ids)
-        except (ValueError, KeyError, OSError) as e:
+            result = metrics.evaluate_detections(dets, training.ground_truths(dataset), oks_params)
+        except (ValueError, KeyError, OSError) as e:  # also image or keypoint counts that differ from the dataset's
             return _fail(str(e), USAGE_ERROR)
-        result = metrics.evaluate_detections(dets, training.ground_truths(dataset), oks_params)
     else:
         if not args.checkpoint:
             return _fail("eval needs --checkpoint or --predictions", USAGE_ERROR)
@@ -191,16 +191,19 @@ def _read_pose_jsonl(path: str, key: str):
                 continue
             try:
                 doc = json.loads(line)
-                records.append((line_no, doc[key]))
-            except (json.JSONDecodeError, KeyError) as e:
+            except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{line_no}: {e}") from e
+            entries = doc.get(key) if isinstance(doc, dict) else None
+            if not isinstance(entries, list):
+                raise ValueError(f"{path}:{line_no}: expected an object with a {key!r} list")
+            records.append((line_no, entries))
     return records
 
 
 def cmd_match(args) -> int:
     from .loss import LossWeights
-    from .matching import BRUTE_FORCE_MAX, brute_force_assign, build_cost_matrix, hungarian_assign
-    from .pose import PoseClass, PredictionSet, PredictionSlot, TargetSet, from_flat
+    from .matching import BRUTE_FORCE_MAX, array_cost_matrix, brute_force_assign, hungarian_assign
+    from .pose import prediction_arrays, target_arrays
 
     weights = LossWeights(args.lambda_l1, args.lambda_l2, args.lambda_ctr, args.nonobject_weight)
     try:
@@ -219,18 +222,14 @@ def cmd_match(args) -> int:
                 USAGE_ERROR,
             )
         try:
-            targets = TargetSet([from_flat(e["pose"], PoseClass(int(e["class"]))) for e in t_entries])
-            preds = PredictionSet(
-                [PredictionSlot(tuple(e["class_probs"]), from_flat(e["pose"], PoseClass.HUMAN)) for e in p_entries]
-            )
-            cost = build_cost_matrix(targets, preds, weights)
+            cost = array_cost_matrix(*target_arrays(t_entries), *prediction_arrays(p_entries), weights)
             assignment = hungarian_assign(cost)
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             return _fail(f"record {rec_idx}: {e}", USAGE_ERROR)
         for i, j in enumerate(assignment.perm):
             lines.append(f"{rec_idx},{i},{j},{float(cost.entries[i, j])!r},{float(assignment.total_cost)!r}")
         if args.oracle:
-            if len(targets) > BRUTE_FORCE_MAX:
+            if cost.n > BRUTE_FORCE_MAX:
                 return _fail(f"record {rec_idx}: --oracle needs n <= {BRUTE_FORCE_MAX}", USAGE_ERROR)
             reference = brute_force_assign(cost)
             if abs(reference.total_cost - assignment.total_cost) > 1e-9:

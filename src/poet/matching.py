@@ -87,6 +87,37 @@ def _cost_block(t_center, t_offsets, t_vis, p_human, p_center, p_offsets, p_vis,
     return -p_human[None, :] + (l1 + l2 + ctr)
 
 
+def array_cost_matrix(
+    t_human: np.ndarray,
+    t_center: np.ndarray,
+    t_offsets: np.ndarray,
+    t_vis: np.ndarray,
+    p_human: np.ndarray,
+    p_center: np.ndarray,
+    p_offsets: np.ndarray,
+    p_vis: np.ndarray,
+    weights: LossWeights,
+) -> CostMatrix:
+    """All pairwise costs of n targets against n predictions, both held as arrays.
+
+    ``t_human`` is (n,) bool, true for the human targets, and ``p_human`` (n,)
+    the human-class probabilities; centers are (n, 2), offsets and duplicated
+    visibilities (n, 2K). Only the human rows are computed, in one
+    ``_cost_block``; non-object rows stay zero, as their indicator terms
+    vanish. Every entry equals ``match_cost`` bit for bit.
+    """
+    n = t_human.shape[0]
+    if p_human.shape[0] != n:
+        raise SizeMismatch(f"targets have {n} slots, predictions {p_human.shape[0]}")
+    entries = np.zeros((n, n))
+    rows = np.flatnonzero(t_human)
+    if rows.size:
+        entries[rows] = _cost_block(
+            t_center[rows], t_offsets[rows], t_vis[rows], p_human, p_center, p_offsets, p_vis, weights
+        )
+    return CostMatrix(entries)
+
+
 def cost_matrix_from_arrays(
     targets: TargetSet,
     p_human: np.ndarray,
@@ -100,26 +131,17 @@ def cost_matrix_from_arrays(
     ``p_human`` is (n,), the human-class probabilities; the rest are (n, 2),
     (n, 2K) and (n, 2K). Entries equal ``build_cost_matrix``'s bit for bit.
     """
-    n = len(targets)
-    if p_human.shape[0] != n:
-        raise SizeMismatch(f"targets have {n} slots, predictions {p_human.shape[0]}")
-    entries = np.zeros((n, n))
-    rows = [i for i, target in enumerate(targets) if target.is_human]
-    if rows:  # non-object rows stay zero: their indicator terms vanish
-        humans = [targets[i] for i in rows]
-        entries[rows] = _cost_block(
-            np.array([t.center for t in humans]),
-            np.array([t.offsets for t in humans]),
-            np.array([t.visibilities for t in humans]),
-            p_human, p_center, p_offsets, p_vis, weights,
-        )
-    return CostMatrix(entries)
+    return array_cost_matrix(
+        np.array([t.is_human for t in targets], dtype=bool),
+        np.array([t.center for t in targets]),
+        np.array([t.offsets for t in targets]),
+        np.array([t.visibilities for t in targets]),
+        p_human, p_center, p_offsets, p_vis, weights,
+    )
 
 
 def build_cost_matrix(targets: TargetSet, preds: PredictionSet, weights: LossWeights) -> CostMatrix:
     """All pairwise costs; plain floats, never recorded on a tape."""
-    if len(targets) != len(preds):
-        raise SizeMismatch(f"targets have {len(targets)} slots, predictions {len(preds)}")
     poses = [pred.pose for pred in preds]
     return cost_matrix_from_arrays(
         targets,

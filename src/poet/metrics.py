@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import PoseClass, decode_pose, from_flat
+from .pose import prediction_arrays
 
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 MEDIUM_RANGE = (32.0**2, 96.0**2)
@@ -298,13 +298,18 @@ def load_detections_jsonl(path: str, image_sizes: Sequence[tuple[float, float]])
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from e
             if len(per_image) >= len(image_sizes):
                 raise ValueError(f"{path}:{line_no}: more prediction lines than images ({len(image_sizes)})")
-            size = image_sizes[len(per_image)]
-            dets = []
-            for entry in record.get("preds", []):
-                pose = from_flat(entry["pose"], PoseClass.HUMAN)
-                kps = decode_pose(pose, size)
-                dets.append(Detection([(kp.x, kp.y) for kp in kps], entry["class_probs"][0]))
-            per_image.append(dets)
+            entries = record.get("preds", []) if isinstance(record, dict) else None
+            if not isinstance(entries, list):
+                raise ValueError(f"{path}:{line_no}: expected an object with a 'preds' list")
+            try:
+                scores, center, offsets, _ = prediction_arrays(entries)
+            except ValueError as e:
+                raise ValueError(f"{path}:{line_no}: {e}") from e
+            # decode_pose's operations on the whole record: (center + offset) * (W, H)
+            w, h = image_sizes[len(per_image)]
+            per_keypoint = offsets.reshape(len(entries), offsets.shape[1] // 2, 2)
+            pixels = (center[:, None, :] + per_keypoint) * np.array([float(w), float(h)])
+            per_image.append([Detection(kps, score) for kps, score in zip(pixels, scores)])
     return per_image
 
 

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class PoseClass(enum.IntEnum):
     NON_OBJECT = 0
@@ -216,3 +218,96 @@ def from_flat(values: Sequence[float], pose_class: PoseClass | int) -> PoseVecto
         offsets.extend((dx, dy))
         vis.extend((v, v))
     return PoseVector(center, offsets, vis, PoseClass(pose_class))
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines records as arrays: {"pose": [2 + 3K numbers], "class": 0|1} targets
+# and {"pose": [...], "class_probs": [p_human, p_non]} predictions, n per record
+
+
+def arrays_from_flat(poses: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse n flat poses (to_flat's layout) into float64 arrays, with no PoseVector.
+
+    Returns the centers (n, 2), the offsets (n, 2K) and the visibilities
+    duplicated per coordinate (n, 2K), holding the values from_flat would.
+    Raises ValueError naming the first pose that is not a list of 2 + 3K
+    numbers, that differs in length from the first pose, or that holds a
+    null (which numpy would read as NaN).
+    """
+    try:
+        flat = np.asarray(poses, dtype=np.float64) if len(poses) else np.zeros((0, 2))
+    except (TypeError, ValueError):
+        flat = None
+    if flat is None or flat.ndim != 2 or (flat.shape[1] - 2) % 3:
+        raise ValueError(_flat_error(poses))
+    if np.isnan(flat).any():  # only then can a null be hiding in the input
+        bad = next((i for i, pose in enumerate(poses) if None in pose), None)
+        if bad is not None:
+            raise ValueError(f"pose {bad} holds a null")
+    n, k = flat.shape[0], (flat.shape[1] - 2) // 3
+    per_keypoint = flat[:, 2:].reshape(n, k, 3)
+    return flat[:, :2], per_keypoint[:, :, :2].reshape(n, 2 * k), np.repeat(per_keypoint[:, :, 2], 2, axis=1)
+
+
+def _flat_error(poses) -> str:
+    for i, pose in enumerate(poses):
+        if not isinstance(pose, (list, tuple)):
+            return f"pose {i} is not a list"
+        if (len(pose) - 2) % 3:
+            return f"pose {i}: flat pose length must be 2 + 3K, got {len(pose)}"
+        if len(pose) != len(poses[0]):
+            return f"pose {i} has {len(pose)} values, pose 0 has {len(poses[0])}"
+    return "poses must be lists of numbers"
+
+
+def _field(entries: Sequence[dict], key: str, side: str) -> list:
+    try:
+        return [e[key] for e in entries]
+    except KeyError:
+        raise ValueError(f"{side}: an entry has no {key!r}") from None
+    except TypeError:
+        raise ValueError(f"{side}: entries must be JSON objects") from None
+
+
+def _poses(entries: Sequence[dict], side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    poses = _field(entries, "pose", side)
+    try:
+        return arrays_from_flat(poses)
+    except ValueError as e:
+        raise ValueError(f"{side}: {e}") from None
+
+
+def _class_of(value) -> int | None:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def target_arrays(entries: Sequence[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse target entries into (is human (n,) bool, centers, offsets, visibilities).
+
+    A class is read as PoseClass(int(value)) would read it and must be 0 or 1;
+    non-object targets must have all-zero visibilities.
+    """
+    raw = _field(entries, "class", "targets")
+    classes = [_class_of(c) for c in raw]
+    if not set(classes) <= {0, 1}:
+        bad = next(i for i, c in enumerate(classes) if c not in (0, 1))
+        raise ValueError(f"targets: entry {bad}: class must be 0 or 1, got {raw[bad]!r}")
+    human = np.array(classes, dtype=bool)
+    center, offsets, vis = _poses(entries, "targets")
+    stray = np.flatnonzero(~human & (vis != 0.0).any(axis=1))
+    if stray.size:
+        raise ValueError(f"targets: entry {stray[0]}: non-object poses must have all-zero visibilities")
+    return human, center, offsets, vis
+
+
+def prediction_arrays(entries: Sequence[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse prediction entries into (p_human (n,), centers, offsets, visibilities)."""
+    probs = _field(entries, "class_probs", "preds")
+    first = [p[0] if isinstance(p, list) and p else None for p in probs]
+    bad = next((i for i, x in enumerate(first) if not isinstance(x, (int, float))), None)
+    if bad is not None:
+        raise ValueError(f"preds: entry {bad}: class_probs must be a list [p_human, p_non] of numbers, got {probs[bad]!r}")
+    return (np.array(first, dtype=np.float64), *_poses(entries, "preds"))

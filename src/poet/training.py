@@ -70,6 +70,10 @@ def adamw_step(
 
     Weight decay multiplies into the pre-update parameter and skips biases and
     norm gains; parameters named backbone.* use the backbone learning rate.
+    The intermediates are written into two scratch arrays sized to the largest
+    parameter, with the operations and their order of the plain expression
+    ``lr * (m / b1c) / (sqrt(v / b2c) + eps) + lr * wd * p``, so the results
+    are the same bit for bit.
     """
     cfg = state.config
     lr_t = cfg.lr_transformer if lr_transformer is None else lr_transformer
@@ -77,20 +81,25 @@ def adamw_step(
     state.step += 1
     b1c = 1.0 - cfg.beta1**state.step
     b2c = 1.0 - cfg.beta2**state.step
+    largest = max((p.size for p in params.values()), default=0)
+    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ad.ShapeMismatch(f"{name}: gradient shape {g.shape} vs parameter shape {p.shape}")
+        a = scratch_a[: p.size].reshape(p.shape)
+        b = scratch_b[: p.size].reshape(p.shape)
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
+        v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=a), out=a)
         lr = lr_b if name.startswith("backbone.") else lr_t
-        update = lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+        update = np.multiply(lr, np.divide(m, b1c, out=a), out=a)
+        update /= np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), cfg.eps, out=b)
         if cfg.weight_decay and _decayed(name):
-            update = update + lr * cfg.weight_decay * p
+            update += np.multiply(lr * cfg.weight_decay, p, out=b)
         p -= update
     return params
 

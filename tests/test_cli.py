@@ -153,6 +153,163 @@ def test_match_keypoint_count_mismatch_exit_2(tmp_path, capsys):
     assert "record 0: keypoint counts differ" in capsys.readouterr().err
 
 
+def match_records(rng, n, k, layout):
+    """One seeded `poet match` record pair: humans first, interleaved with padding, or no humans."""
+    if layout == "humans-first":
+        human = np.arange(n) < rng.integers(1, n + 1)
+    elif layout == "interleaved":
+        human = rng.random(n) < 0.5
+        human[rng.integers(n)] = True
+    else:
+        human = np.zeros(n, dtype=bool)
+    targets = []
+    for is_human in human:
+        if is_human:
+            vis = (rng.random(k) < 0.8).astype(int)
+            pose = [float(x) for x in rng.uniform(0.1, 0.9, 2)]
+            for v in vis:  # JSON ints for the visibilities, as a hand-written file has them
+                pose += [float(rng.normal(0.0, 0.08)) * int(v), float(rng.normal(0.0, 0.08)) * int(v), int(v)]
+            targets.append({"pose": pose, "class": 1})
+        else:
+            targets.append({"pose": [0.0] * (2 + 3 * k), "class": 0})
+    preds = []
+    for _ in range(n):
+        ph = float(rng.uniform(0.01, 0.99))
+        preds.append({"pose": [float(x) for x in rng.uniform(-0.2, 1.0, 2 + 3 * k)], "class_probs": [ph, 1.0 - ph]})
+    return targets, preds
+
+
+def object_path_csv(target_records, pred_records, weights):
+    """`poet match`'s CSV as the pose-object path writes it: from_flat, TargetSet/PredictionSet, build_cost_matrix."""
+    from poet.matching import build_cost_matrix, hungarian_assign
+    from poet.pose import PredictionSet, PredictionSlot, TargetSet, from_flat
+
+    lines = ["record,target,pred,pair_cost,total_cost"]
+    for r, (t_entries, p_entries) in enumerate(zip(target_records, pred_records)):
+        targets = TargetSet([from_flat(e["pose"], PoseClass(int(e["class"]))) for e in t_entries])
+        preds = PredictionSet(
+            [PredictionSlot(tuple(e["class_probs"]), from_flat(e["pose"], PoseClass.HUMAN)) for e in p_entries]
+        )
+        cost = build_cost_matrix(targets, preds, weights)
+        assignment = hungarian_assign(cost)
+        for i, j in enumerate(assignment.perm):
+            lines.append(f"{r},{i},{j},{float(cost.entries[i, j])!r},{float(assignment.total_cost)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def write_records(tmp_path, target_records, pred_records):
+    targets_path, preds_path = tmp_path / "t.jsonl", tmp_path / "p.jsonl"
+    targets_path.write_text("".join(json.dumps({"targets": t}) + "\n" for t in target_records))
+    preds_path.write_text("".join(json.dumps({"preds": p}) + "\n" for p in pred_records))
+    return str(targets_path), str(preds_path)
+
+
+@pytest.mark.parametrize("layout", ["humans-first", "interleaved", "no-humans"])
+def test_match_csv_is_byte_identical_to_the_object_path(tmp_path, capsys, layout):
+    from poet.loss import LossWeights
+
+    rng = np.random.default_rng(["humans-first", "interleaved", "no-humans"].index(layout))
+    records = [match_records(rng, n, k, layout) for n in (1, 2, 8, 25, 100) for k in (1, 5, 17)]
+    target_records, pred_records = [t for t, _ in records], [p for _, p in records]
+    paths = write_records(tmp_path, target_records, pred_records)
+    flags = ["--lambda-l1", "3.0", "--lambda-l2", "0.7", "--lambda-ctr", "1.5"]
+    for weights, argv in ((LossWeights(), []), (LossWeights(3.0, 0.7, 1.5), flags)):
+        assert main(["match", *paths, *argv]) == 0
+        assert capsys.readouterr().out == object_path_csv(target_records, pred_records, weights)
+
+
+def test_match_oracle_ok_on_interleaved_padding(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    records = [match_records(rng, n, 3, layout) for n in (1, 5, 8) for layout in ("humans-first", "interleaved", "no-humans")]
+    code = main(["match", *write_records(tmp_path, [t for t, _ in records], [p for _, p in records]), "--oracle"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert all(f"record {r}: OK" in err for r in range(len(records)))
+
+
+def test_match_builds_no_pose_objects(tmp_path, capsys, monkeypatch):
+    from poet import pose
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poet match built a pose object")
+
+    target, pred = match_records(np.random.default_rng(3), 100, 17, "humans-first")
+    paths = write_records(tmp_path, [target], [pred])
+    monkeypatch.setattr(pose, "from_flat", refuse)
+    monkeypatch.setattr(pose, "PoseVector", refuse)
+    assert main(["match", *paths]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 101
+
+
+# a 2-slot record of 2 keypoints, and the same record with one defect each
+GOOD_TARGETS = [{"pose": [0.5, 0.5, 0.1, 0.1, 1, -0.1, 0.1, 1], "class": 1}, {"pose": [0.0] * 8, "class": 0}]
+GOOD_PREDS = [
+    {"pose": [0.4, 0.6, 0.1, 0.0, 0.9, 0.0, 0.1, 0.8], "class_probs": [0.7, 0.3]},
+    {"pose": [0.6, 0.4, 0.0, 0.1, 0.2, 0.1, 0.0, 0.3], "class_probs": [0.2, 0.8]},
+]
+
+
+def _with(entries, i, **fields):
+    return [dict(e, **fields) if k == i else e for k, e in enumerate(entries)]
+
+
+MALFORMED_MATCH = {
+    # name: (line of the targets file, line of the preds file, expected in the error)
+    "match-null-in-target-pose": ({"targets": _with(GOOD_TARGETS, 0, pose=[0.5, None] + [0.1] * 6)}, {"preds": GOOD_PREDS}, "record 0:"),
+    "match-null-in-pred-pose": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 1, pose=[None] * 8)}, "record 0:"),
+    "match-pose-is-a-number": ({"targets": _with(GOOD_TARGETS, 1, pose=0.5)}, {"preds": GOOD_PREDS}, "record 0:"),
+    "match-class-probs-is-a-number": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 0, class_probs=0.7)}, "record 0:"),
+    "match-class-probs-empty": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 0, class_probs=[])}, "record 0:"),
+    "match-class-probs-null": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 0, class_probs=[None, 0.3])}, "record 0:"),
+    "match-class-null": ({"targets": _with(GOOD_TARGETS, 0, **{"class": None})}, {"preds": GOOD_PREDS}, "record 0:"),
+    "match-targets-not-a-list": ({"targets": 5}, {"preds": GOOD_PREDS}, "t.jsonl:1:"),
+    "match-entry-is-a-list": ({"targets": [[0.5, 0.5], GOOD_TARGETS[1]]}, {"preds": GOOD_PREDS}, "record 0:"),
+    "match-line-is-an-array": ({"targets": GOOD_TARGETS}, [1, 2], "p.jsonl:1:"),
+    # the checks the object path made, kept by the array parser
+    "match-pose-length": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 1, pose=[0.5] * 7)}, "record 0: preds: pose 1: flat pose length must be 2 + 3K"),
+    "match-poses-differ-in-length": ({"targets": _with(GOOD_TARGETS, 1, pose=[0.0] * 5)}, {"preds": GOOD_PREDS}, "record 0: targets: pose 1 has 5 values"),
+    "match-class-2": ({"targets": _with(GOOD_TARGETS, 1, **{"class": 2})}, {"preds": GOOD_PREDS}, "record 0: targets: entry 1: class must be 0 or 1"),
+    "match-visible-non-object": ({"targets": _with(GOOD_TARGETS, 1, pose=[0.0] * 4 + [1.0] + [0.0] * 3)}, {"preds": GOOD_PREDS}, "record 0: targets: entry 1: non-object"),
+    "match-nan-cost": ({"targets": GOOD_TARGETS}, {"preds": _with(GOOD_PREDS, 0, pose=[float("nan")] * 8)}, "record 0: cost matrix contains non-finite"),
+}
+
+VAL_IMAGES = 10  # TINY_CFG's train.val_samples: `poet eval --predictions` wants one line per image
+MALFORMED_EVAL = {
+    # name: (lines of the predictions file, expected in the error)
+    "eval-line-is-an-array": ([[1, 2]] * VAL_IMAGES, "p.jsonl:1:"),
+    "eval-null-in-pose": ([{"preds": _with(GOOD_PREDS, 0, pose=[0.4, None] + [0.1] * 6)}] * VAL_IMAGES, "p.jsonl:1:"),
+    "eval-class-probs-is-a-number": ([{"preds": _with(GOOD_PREDS, 1, class_probs=0.2)}] * VAL_IMAGES, "p.jsonl:1:"),
+    "eval-fewer-lines-than-images": ([{"preds": GOOD_PREDS}], "image counts differ"),
+    "eval-keypoint-count-differs": ([{"preds": [{"pose": [0.5] * 5, "class_probs": [0.7, 0.3]}]}] * VAL_IMAGES, "keypoint counts differ"),
+}
+
+
+def assert_usage_error(argv, cwd, where):
+    """Run `poet` as a user does, in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    import poet
+
+    env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, cwd=cwd, env=env)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+    assert where in out.stderr
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MATCH))
+def test_malformed_match_records_exit_2_without_traceback(tmp_path, case):
+    targets, preds, where = MALFORMED_MATCH[case]
+    (tmp_path / "t.jsonl").write_text(json.dumps(targets) + "\n")
+    (tmp_path / "p.jsonl").write_text(json.dumps(preds) + "\n")
+    assert_usage_error(["match", "t.jsonl", "p.jsonl"], tmp_path, where)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_EVAL))
+def test_malformed_eval_predictions_exit_2_without_traceback(tiny_cfg_path, tmp_path, case):
+    lines, where = MALFORMED_EVAL[case]
+    (tmp_path / "p.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert_usage_error(["eval", "--config", tiny_cfg_path, "--predictions", "p.jsonl"], tmp_path, where)
+
+
 def test_gradcheck_component_and_injection(capsys):
     assert main(["gradcheck", "--component", "loss", "--cases", "3"]) == 0
     out = capsys.readouterr().out

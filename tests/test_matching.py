@@ -15,6 +15,7 @@ from poet.matching import (
     NonFiniteEntry,
     SizeMismatch,
     TooLarge,
+    array_cost_matrix,
     brute_force_assign,
     build_cost_matrix,
     hungarian_assign,
@@ -116,6 +117,40 @@ def test_build_cost_matrix_matches_pairwise_recomputation():
 def test_build_cost_matrix_size_mismatch():
     with pytest.raises(SizeMismatch):
         build_cost_matrix(pad_targets([], 3), random_prediction_set(np.random.default_rng(0), 4, 1), W)
+
+
+def _target_arrays(targets):
+    return (
+        np.array([t.is_human for t in targets]),
+        *(np.array([getattr(t, f) for t in targets]) for f in ("center", "offsets", "visibilities")),
+    )
+
+
+def _pred_arrays(preds):
+    poses = [p.pose for p in preds]
+    return (np.array([p.class_probs[0] for p in preds]), *(np.array([getattr(q, f) for q in poses]) for f in ("center", "offsets", "visibilities")))
+
+
+def test_array_cost_matrix_equals_match_cost_with_interleaved_padding():
+    rng = np.random.default_rng(21)
+    for n, k in ((1, 1), (6, 3), (25, 17)):
+        humans = list(random_target_set(rng, n, k, n))
+        targets = TargetSet([h if rng.random() < 0.5 else non_object_pose(k) for h in humans])
+        preds = random_prediction_set(rng, n, k)
+        m = array_cost_matrix(*_target_arrays(targets), *_pred_arrays(preds), W).entries
+        assert m.tobytes() == build_cost_matrix(targets, preds, W).entries.tobytes()
+        for i in range(n):
+            for j in range(n):
+                assert m[i, j] == match_cost(targets[i], preds[j], W)
+
+
+def test_array_cost_matrix_checks_keypoint_counts_only_on_people_rows():
+    preds = random_prediction_set(np.random.default_rng(5), 2, 2)
+    nobody = array_cost_matrix(*_target_arrays(pad_targets([], 2)), *_pred_arrays(preds), W)
+    assert not nobody.entries.any()  # padding without keypoints, as pad_targets gives an empty image
+    one_keypoint = pad_targets([human_pose()], 2)
+    with pytest.raises(ValueError, match="keypoint counts differ: 1 vs 2"):
+        array_cost_matrix(*_target_arrays(one_keypoint), *_pred_arrays(preds), W)
 
 
 def test_hungarian_two_by_two():

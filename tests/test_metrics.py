@@ -206,6 +206,31 @@ def test_load_detections_jsonl_errors(tmp_path):
         load_detections_jsonl(str(path), [(10, 10)])
 
 
+def test_load_detections_jsonl_equals_from_flat_and_decode_pose(tmp_path):
+    from poet.pose import PoseClass, decode_pose, from_flat
+
+    rng = np.random.default_rng(17)
+    for trial, k in enumerate((1, 5, 17)):
+        sizes = [tuple(int(x) for x in rng.integers(16, 640, 2)) for _ in range(6)]
+        records = []
+        for _ in sizes:
+            preds = []
+            for _ in range(int(rng.integers(0, 9))):
+                ph = float(rng.uniform())
+                preds.append({"pose": [float(x) for x in rng.uniform(-0.3, 1.1, 2 + 3 * k)], "class_probs": [ph, 1 - ph]})
+            records.append(preds)
+        path = tmp_path / f"preds{trial}.jsonl"
+        path.write_text("".join(json.dumps({"preds": preds}) + "\n" for preds in records))
+        per_image = load_detections_jsonl(str(path), sizes)
+        assert len(per_image) == len(records)
+        for dets, preds, size in zip(per_image, records, sizes):
+            assert len(dets) == len(preds)
+            for d, e in zip(dets, preds):
+                kps = decode_pose(from_flat(e["pose"], PoseClass.HUMAN), size)
+                assert d.keypoints.tobytes() == np.array([(kp.x, kp.y) for kp in kps]).tobytes()
+                assert d.score == e["class_probs"][0]
+
+
 def test_load_detections_coco(tmp_path):
     path = tmp_path / "results.json"
     entries = [

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poet.pose import (
     InstanceAnnotation,
+    arrays_from_flat,
     Keypoint,
     PoseClass,
     PoseVector,
@@ -13,6 +16,7 @@ from poet.pose import (
     from_flat,
     non_object_pose,
     pad_targets,
+    target_arrays,
     to_flat,
 )
 
@@ -161,3 +165,47 @@ def test_flat_serialization_roundtrip():
     assert back == p
     with pytest.raises(ValueError):
         from_flat([0.0] * 4, PoseClass.HUMAN)
+
+
+def test_arrays_from_flat_holds_from_flats_values():
+    rng = np.random.default_rng(4)
+    for n, k in ((1, 1), (7, 5), (30, 17)):
+        poses = [[float(x) for x in rng.normal(size=2 + 3 * k)] for _ in range(n)]
+        poses[0][4] = 1  # an int, as JSON gives it
+        center, offsets, vis = arrays_from_flat(poses)
+        objects = [from_flat(p, PoseClass.HUMAN) for p in poses]
+        for got, field in ((center, "center"), (offsets, "offsets"), (vis, "visibilities")):
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array([getattr(o, field) for o in objects]).tobytes()
+    center, offsets, vis = arrays_from_flat([])
+    assert center.shape == (0, 2) and offsets.shape == vis.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "poses, message",
+    [
+        ([[0.5, 0.5, 0.1, 0.1, 1.0], [0.5, None, 0.1, 0.1, 1.0]], "pose 1 holds a null"),
+        ([[0.5, 0.5, 0.1, 0.1, 1.0], 0.5], "pose 1 is not a list"),
+        ([[0.5, 0.5, 0.1, 0.1]], "pose 0: flat pose length must be 2 + 3K, got 4"),
+        ([[0.5] * 5, [0.5] * 8], "pose 1 has 8 values, pose 0 has 5"),
+        ([[0.5] * 5, [0.5, 0.5, [0.1], 0.1, 1.0]], "poses must be lists of numbers"),
+        ([[0.5, 0.5, 0.1, 0.1, {}]], "poses must be lists of numbers"),
+    ],
+)
+def test_arrays_from_flat_rejects(poses, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        arrays_from_flat(poses)
+
+
+def test_arrays_from_flat_keeps_a_nan_that_is_not_a_null():
+    center, _, _ = arrays_from_flat([[float("nan"), 0.5, 0.1, 0.1, 1.0]])
+    assert np.isnan(center[0, 0])
+
+
+def test_target_classes_follow_the_int_rule():
+    pose = [0.5, 0.5, 0.1, 0.1, 1.0]
+    human, _, _, _ = target_arrays([{"pose": pose, "class": 1.7}, {"pose": [0.0] * 5, "class": False}])
+    assert human.tolist() == [True, False]
+    for bad in (2, -1, "x", None, float("inf")):
+        with pytest.raises(ValueError, match="entry 0: class must be 0 or 1"):
+            target_arrays([{"pose": pose, "class": bad}])

@@ -93,6 +93,60 @@ def test_adamw_backbone_group_uses_backbone_lr():
     assert head / back == pytest.approx(100.0, rel=1e-6)
 
 
+def oracle_adamw_step(params, grads, state, lr_transformer=None, lr_backbone=None):
+    """The plain AdamW loop, one full-size temporary per operation; adamw_step must equal it bit for bit."""
+    cfg = state.config
+    lr_t = cfg.lr_transformer if lr_transformer is None else lr_transformer
+    lr_b = cfg.lr_backbone if lr_backbone is None else lr_backbone
+    state.step += 1
+    b1c = 1.0 - cfg.beta1**state.step
+    b2c = 1.0 - cfg.beta2**state.step
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        lr = lr_b if name.startswith("backbone.") else lr_t
+        update = lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+        if cfg.weight_decay and training._decayed(name):
+            update = update + lr * cfg.weight_decay * p
+        p -= update
+    return params
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adamw_step_equals_the_plain_loop_bit_for_bit(weight_decay):
+    # both learning-rate groups, decayed weights and undecayed biases and gains, of different sizes
+    rng = np.random.default_rng(11)
+    shapes = {
+        "backbone.stage0.weight": (8, 3, 3, 3),
+        "backbone.stage0.bias": (8,),
+        "encoder.layer0.attn.wq": (16, 16),
+        "encoder.layer0.norm1.gain": (16,),
+        "head.class.weight": (16, 2),
+    }
+    params = {name: rng.normal(0.0, 0.5, shape) for name, shape in shapes.items()}
+    reference = {name: p.copy() for name, p in params.items()}
+    config = OptimConfig(lr_transformer=3e-3, lr_backbone=7e-4, weight_decay=weight_decay)
+    state, ref_state = init_optim_state(params, config), init_optim_state(reference, config)
+    clip_fired = []
+    for step in range(6):
+        grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-3, 2), p.shape) for name, p in params.items()}
+        clipped, norm = clip_gradients(grads, 1.0 if step % 2 else 0.0)
+        clip_fired.append(clipped is not grads)
+        lrs = {} if step < 3 else {"lr_transformer": 1e-3 / step, "lr_backbone": 2e-4 / step}
+        adamw_step(params, clipped, state, **lrs)
+        oracle_adamw_step(reference, clipped, ref_state, **lrs)
+        assert state.step == ref_state.step
+        for name in params:
+            for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+                assert got[name].tobytes() == want[name].tobytes(), (step, name)
+    assert any(clip_fired) and not all(clip_fired)
+
+
 def test_adamw_shape_mismatch():
     params, state = scalar_state()
     with pytest.raises(ad.ShapeMismatch):
