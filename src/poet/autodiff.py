@@ -319,9 +319,9 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = np.subtract(x, x.max(axis=axis, keepdims=True))  # the one full-size array: shift, exp and divide in place
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -335,12 +335,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeMismatch(f"layer_norm params must be ({n},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = y * gain.data + bias.data
+    # two full-size arrays: y (centred, then scaled in place) and out (the squares, then the result)
+    y = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.multiply(y, y)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    y *= inv
+    np.multiply(y, gain.data, out=out)
+    out += bias.data
 
     def vjp_x(g):
         gy = g * gain.data
@@ -420,7 +421,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
     if b is not None:
         if b.shape != (cout,):
             raise ShapeMismatch(f"bias must be ({cout},), got {b.shape}")
-        out = out + b.data.reshape(1, cout, 1, 1)
+        out += b.data.reshape(1, cout, 1, 1)  # out is the GEMM's own fresh result
 
     def vjp_x(g):
         gf = g.reshape(bs, cout, oh * ow)

@@ -345,20 +345,33 @@ def save_dataset_cache(dataset: Dataset, path: str, synth_cfg: SynthConfig | Non
 
 
 def load_dataset_cache(path: str) -> Dataset:
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    arrays = checkpoint.load_arrays(path)
-    image_size = tuple(manifest["image_size"])
-    samples = []
-    for i in range(manifest["num_samples"]):
-        rows = arrays[f"sample{i:06d}"]
-        annotations = [
-            InstanceAnnotation([Keypoint(float(x), float(y), int(v)) for x, y, v in inst], image_size)
-            for inst in rows
-        ]
-        raw_areas = arrays.get(f"sample{i:06d}.areas")
-        areas = None if raw_areas is None else [None if a < 0 else float(a) for a in raw_areas]
-        samples.append(Sample(annotations, areas=areas))
-    render = manifest.get("render")
-    spec = RenderSpec(render["blob_radius"], int(render["channels"])) if render else None
-    return Dataset(samples, image_size, int(manifest["num_keypoints"]), spec)
+    """Read a cache written by save_dataset_cache.
+
+    A manifest that is not JSON or lacks a field, or a container that is cut
+    short or lacks a sample, raises ParseError naming the path; a missing file
+    raises FileNotFoundError.
+    """
+    try:
+        with open(path + ".json", "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        arrays = checkpoint.load_arrays(path)
+        image_size = tuple(manifest["image_size"])
+        samples = []
+        for i in range(manifest["num_samples"]):
+            rows = arrays[f"sample{i:06d}"]
+            annotations = [
+                InstanceAnnotation([Keypoint(float(x), float(y), int(v)) for x, y, v in inst], image_size)
+                for inst in rows
+            ]
+            raw_areas = arrays.get(f"sample{i:06d}.areas")
+            areas = None if raw_areas is None else [None if a < 0 else float(a) for a in raw_areas]
+            samples.append(Sample(annotations, areas=areas))
+        render = manifest.get("render")
+        spec = RenderSpec(render["blob_radius"], int(render["channels"])) if render else None
+        return Dataset(samples, image_size, int(manifest["num_keypoints"]), spec)
+    except checkpoint.ContainerError as e:  # its message starts with the path
+        raise ParseError(f"dataset cache {e}") from e
+    except KeyError as e:
+        raise ParseError(f"dataset cache {path}: {e.args[0]!r} is missing") from e
+    except (TypeError, ValueError) as e:  # a manifest that is not JSON, or a field of the wrong type
+        raise ParseError(f"dataset cache {path}: {e}") from e

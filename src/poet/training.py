@@ -107,9 +107,17 @@ def adamw_step(
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
     """Scale all gradients so the global L2 norm is at most max_norm; also returns the norm before clipping.
 
-    max_norm <= 0 leaves the gradients as they are.
+    max_norm <= 0 leaves the gradients as they are. The squares are summed
+    from one scratch array sized to the largest gradient, the same values in
+    the same order as ``(g * g).sum()``, so the norm is the same bit for bit.
     """
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    largest = max((g.size for g in grads.values()), default=0)
+    scratch = np.empty(largest)
+
+    def squares(g):  # g * g, written into the scratch array when its layout matches a fresh product's
+        return np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)) if g.flags.c_contiguous else g * g
+
+    total = float(np.sqrt(sum(float(squares(g).sum()) for g in grads.values())))
     if max_norm <= 0 or total <= max_norm:
         return grads, total
     scale = max_norm / total
@@ -273,6 +281,25 @@ def _score_layers(per_layer, dataset: Dataset, oks_params: metrics.OksParams) ->
     return [metrics.evaluate_detections(dets, gts, oks_params) for dets in per_layer]
 
 
+# bytes of the largest activation of one evaluation forward: small enough that the
+# freed arrays of one chunk are reused by the next instead of being handed back to
+# the system and faulted in again
+EVAL_CHUNK_BYTES = 16 << 20
+
+
+def _images_per_forward(cfg: ModelConfig, height: int, width: int) -> int:
+    """Images per evaluation forward: EVAL_CHUNK_BYTES over one image's largest activation.
+
+    That is the larger of the first conv stage's im2col block and one
+    attention layer's encoder scores, in float64 elements.
+    """
+    s0 = cfg.backbone_strides[0]
+    im2col = cfg.image_channels * 9 * (height // s0) * (width // s0)
+    tokens = (height // cfg.total_stride) * (width // cfg.total_stride)
+    largest = max(im2col, cfg.heads * tokens * tokens)
+    return max(1, EVAL_CHUNK_BYTES // (8 * largest))
+
+
 def evaluate(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -280,18 +307,17 @@ def evaluate(
     score_threshold: float = 0.5,
     top_k: int = 0,
     oks_params: metrics.OksParams | None = None,
-    batch_size: int = 32,
 ) -> tuple[metrics.EvalResult, list[metrics.EvalResult]]:
     """Score the model on a dataset; returns (final result, one result per decoder layer).
 
     Only pixels and annotations are read, so images may hold more people than the model has slots.
+    The model runs in chunks of images sized by _images_per_forward; outputs do not depend on them.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     cparams = model.constant_params(params)
     per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
-    for start in range(0, len(dataset), batch_size):
-        indices = range(start, min(start + batch_size, len(dataset)))
+    chunk = _images_per_forward(cfg, *dataset.image(0).shape[1:]) if len(dataset) else 1
+    for start in range(0, len(dataset), chunk):
+        indices = range(start, min(start + chunk, len(dataset)))
         images = np.stack([dataset.image(i) for i in indices])
         sizes = [_sample_size(dataset, i) for i in indices]
         for dets, outputs in zip(per_layer, _layer_outputs(images, cparams, cfg)):

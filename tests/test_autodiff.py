@@ -1,6 +1,7 @@
 """Gradient and contract tests for the tape-based tensor engine."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -139,6 +140,111 @@ def test_conv2d_forward_shape_and_grads():
     assert out.shape == (2, 4, 4, 4)
     probe = r.uniform(-1, 1, out.shape)
     checked_grad(lambda ts: ad.reduce_sum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1), ad.Tensor(probe))), [x, w, b])
+
+
+# Oracles: softmax, layer_norm and conv2d as plain expressions, each returning its
+# output and its VJPs at the cotangent g. The package computes the same values in
+# place, so outputs and gradients must agree bit for bit.
+
+
+def oracle_softmax(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out, (out * (g - dot),)
+
+
+def oracle_layer_norm(x, gain, bias, g, eps=1e-5):
+    lead = tuple(range(x.ndim - 1))
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    y = xc * inv
+    out = y * gain + bias
+    gy = g * gain
+    gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True))
+    return out, (gx, (g * y).sum(axis=lead), g.sum(axis=lead))
+
+
+def oracle_conv2d(x, w, b, g, stride, padding):
+    bs, cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wdt + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((bs, cin, kh * kw, oh * ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i * kw + j, :] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride].reshape(bs, cin, -1)
+    cols = cols.reshape(bs, cin * kh * kw, oh * ow)
+    wf = w.reshape(cout, -1)
+    out = (wf @ cols).reshape(bs, cout, oh, ow)
+    if b is not None:
+        out = out + b.reshape(1, cout, 1, 1)
+    gf = g.reshape(bs, cout, oh * ow)
+    gcols = (wf.T @ gf).reshape(bs, cin, kh * kw, oh * ow)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i * kw + j, :].reshape(bs, cin, oh, ow)
+    gx = gxp[:, :, padding : padding + h, padding : padding + wdt]
+    gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return out, (gx, gw) if b is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+
+
+def assert_op_equals_oracle(op, arrays, g, expected):
+    """op's output and every input's gradient at cotangent g, compared by bytes with the oracle's."""
+    want_out, want_grads = expected
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in arrays]
+    out = op(*leaves)
+    assert out.data.tobytes() == want_out.tobytes()
+    grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(g))))  # each input's gradient is its VJP at g
+    assert len(want_grads) == len(leaves)
+    for leaf, want in zip(leaves, want_grads):
+        assert grads.wrt(leaf).tobytes() == want.tobytes()
+
+
+def test_softmax_equals_the_plain_expressions_bit_for_bit():
+    r = rng()
+    x = r.uniform(-30, 30, (3, 4, 7, 9))
+    g = r.uniform(-1, 1, x.shape)
+    assert_op_equals_oracle(lambda t: ad.softmax(t, axis=-1), [x], g, oracle_softmax(x, g))
+
+
+def test_layer_norm_equals_the_plain_expressions_bit_for_bit():
+    r = rng()
+    x = r.uniform(-2, 2, (3, 5, 16)) + r.uniform(-5, 5, (3, 5, 1))
+    gain, bias = r.uniform(0.5, 1.5, (16,)), r.uniform(-0.5, 0.5, (16,))
+    g = r.uniform(-1, 1, x.shape)
+    assert_op_equals_oracle(ad.layer_norm, [x, gain, bias], g, oracle_layer_norm(x, gain, bias, g))
+
+
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 1), (1, 0)])
+def test_conv2d_equals_the_plain_expressions_bit_for_bit(with_bias, stride, padding):
+    r = rng()
+    x = r.uniform(-1, 1, (2, 3, 9, 8))
+    w = r.uniform(-0.5, 0.5, (4, 3, 3, 3))
+    b = r.uniform(-0.5, 0.5, (4,)) if with_bias else None
+    oh, ow = (9 + 2 * padding - 3) // stride + 1, (8 + 2 * padding - 3) // stride + 1
+    g = r.uniform(-1, 1, (2, 4, oh, ow))
+    op = lambda *ts: ad.conv2d(ts[0], ts[1], ts[2] if with_bias else None, stride=stride, padding=padding)
+    arrays = [x, w] if b is None else [x, w, b]
+    assert_op_equals_oracle(op, arrays, g, oracle_conv2d(x, w, b, g, stride, padding))
+
+
+def test_softmax_allocates_one_array_of_its_input_size():
+    # the plain expression holds x - max, its exp and the quotient at once: about 3x the input
+    x = np.random.default_rng(0).uniform(-3, 3, (16, 4, 144, 144))
+    tracemalloc.start()
+    try:
+        out = ad.softmax(ad.Tensor(x), axis=-1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
 
 
 def test_dropout_identity_modes():

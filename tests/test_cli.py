@@ -310,6 +310,43 @@ def test_malformed_eval_predictions_exit_2_without_traceback(tiny_cfg_path, tmp_
     assert_usage_error(["eval", "--config", tiny_cfg_path, "--predictions", "p.jsonl"], tmp_path, where)
 
 
+def _cut_bin_in_half(cache):
+    data = cache.read_bytes()
+    cache.write_bytes(data[: len(data) // 2])
+
+
+def _drop_num_samples(cache):
+    manifest_path = cache.with_name(cache.name + ".json")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["num_samples"]
+    manifest_path.write_text(json.dumps(manifest))
+
+
+DAMAGED_CACHES = {
+    "bin-cut-in-half": _cut_bin_in_half,
+    "no-num-samples": _drop_num_samples,
+    "manifest-not-json": lambda cache: cache.with_name(cache.name + ".json").write_text("{not json\n"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_CACHES))
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_malformed_dataset_cache_exit_2_without_traceback(tiny_cfg_path, tmp_path, command, damage):
+    from dataclasses import replace
+
+    from poet.config import load_config
+    from poet.data import save_dataset_cache, synth_generate
+
+    cache = tmp_path / "ds.bin"
+    save_dataset_cache(synth_generate(replace(load_config(tiny_cfg_path).synth, num_samples=4)), str(cache))
+    DAMAGED_CACHES[damage](cache)
+    if command == "eval":
+        argv = ["eval", "--config", tiny_cfg_path, "--dataset", "ds.bin"]
+    else:
+        argv = ["train", "--config", tiny_cfg_path, "--set", "train.dataset=ds.bin", "--out-dir", "run"]
+    assert_usage_error(argv, tmp_path, "dataset cache ds.bin")
+
+
 def test_gradcheck_component_and_injection(capsys):
     assert main(["gradcheck", "--component", "loss", "--cases", "3"]) == 0
     out = capsys.readouterr().out

@@ -163,6 +163,21 @@ def test_clip_gradients_global_norm():
     assert same is grads
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_clip_gradients_norm_equals_the_plain_expression(seed):
+    r = np.random.default_rng(seed)
+    shapes = [(int(r.integers(1, 40)),), (3, int(r.integers(1, 30))), (4, 3, 3, 3), (), (17, 5)]
+    mixed = {f"g{i}": r.normal(0.0, 10.0 ** r.uniform(-3, 3), shape) for i, shape in enumerate(shapes)}
+    mixed["strided"] = r.normal(size=(90, 80))[::2, 1::3]
+    # F-ordered, as a VJP may hand one back; large enough that summing in another order changes the bits
+    transposed = {"t": r.normal(size=(300, 257)).T}
+    for grads in (mixed, transposed, {**mixed, **transposed}):
+        plain = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        for max_norm in (0.0, plain / 3, plain * 2):
+            _, norm = clip_gradients(grads, max_norm)
+            assert norm == plain
+
+
 def test_effective_lr_drops_compound_exactly():
     sched = ScheduleConfig(epochs=30, drop_epochs=(10, 20), drop_factor=10.0)
     base = 1e-4
@@ -316,7 +331,7 @@ def test_evaluate_equals_slot_path(score_threshold, top_k, monkeypatch):
         return score(detections, *args)
 
     monkeypatch.setattr(metrics, "evaluate_detections", recording)
-    final, per_layer = evaluate(params, run.model, dataset, score_threshold, top_k, batch_size=5)
+    final, per_layer = evaluate(params, run.model, dataset, score_threshold, top_k)
     expected = _slot_path_detections(params, run.model, dataset, score_threshold, top_k, batch_size=5)
     assert len(scored) == len(expected) == run.model.dec_layers
     for got_layer, want_layer in zip(scored, expected):
@@ -329,13 +344,59 @@ def test_evaluate_equals_slot_path(score_threshold, top_k, monkeypatch):
     assert final == per_layer[-1] and final.ap is not None
 
 
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_evaluate_chunks_give_the_whole_set_forwards_results(chunk, monkeypatch):
+    from poet import metrics
+
+    run = tiny_run()
+    dataset = training.resolve_dataset("synth", run, "val")
+    params = model.init_params(run.model, 4)
+    cfg = run.model
+    # one image's largest activation: the attention scores at 32 px (the first stage's im2col is 3 * 9 * 16 * 16)
+    per_image_bytes = 8 * cfg.heads * (32 // cfg.total_stride) ** 4
+    assert per_image_bytes > 8 * cfg.image_channels * 9 * 16 * 16
+    forwards, scored = [], []
+    forward, score = model.model_forward, metrics.evaluate_detections
+
+    def counting(images, *args, **kwargs):
+        forwards.append(images.shape[0])
+        return forward(images, *args, **kwargs)
+
+    def recording(detections, *args):
+        scored.append([[(d.keypoints.tobytes(), d.score) for d in img] for img in detections])
+        return score(detections, *args)
+
+    monkeypatch.setattr(model, "model_forward", counting)
+    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    results = []
+    for budget in (1 << 40, chunk * per_image_bytes + per_image_bytes - 1):
+        monkeypatch.setattr(training, "EVAL_CHUNK_BYTES", budget)
+        results.append(evaluate(params, cfg, dataset, 0.0, 0))
+    n = len(dataset)
+    assert forwards == [n] + [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+    assert chunk == 1 or n % chunk  # the chunks of 5 end in a partial one
+    whole, chunked = scored[: cfg.dec_layers], scored[cfg.dec_layers :]
+    assert whole == chunked
+    assert results[0] == results[1]
+
+
+def test_images_per_forward_follows_the_largest_activation(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_BYTES", 8 << 20)
+    synth_tiny = desk_config(image_channels=5)  # configs/synth_tiny.cfg's model
+    # 96 px: the first stage's im2col block, 5 * 9 * 48 * 48 elements, beats the scores' 4 * 144 ** 2
+    assert training._images_per_forward(synth_tiny, 96, 96) == (8 << 20) // (8 * 5 * 9 * 48 * 48)
+    # 128 px at paper scale: scores of 8 heads over 16 tokens, against an im2col block of 3 * 9 * 64 * 64
+    assert training._images_per_forward(model.ModelConfig.paper_scale(), 128, 128) == (8 << 20) // (8 * 3 * 9 * 64 * 64)
+    assert training._images_per_forward(synth_tiny, 1024, 1024) == 1
+
+
 def test_validate_matches_dataset_loss_and_evaluate():
     run = parse_config(TINY_CFG_TEXT + "train.score_threshold = 0.3\ntrain.top_k = 2\n")
     dataset = training.resolve_dataset("synth", run, "val")
     params = model.init_params(run.model, 6)
     loss, final, per_layer = training.validate(params, dataset, run)
     assert loss == dataset_loss(params, dataset, run)
-    expected = evaluate(params, run.model, dataset, 0.3, 2, batch_size=run.train.batch_size)
+    expected = evaluate(params, run.model, dataset, 0.3, 2)
     assert (final, per_layer) == expected
 
 
