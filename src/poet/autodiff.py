@@ -290,6 +290,8 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
+    if a.tape is None:  # nothing will read the mask
+        return Tensor(out)
     mask = a.data > 0.0
     return _make(out, (a,), (lambda g: g * mask,))
 
@@ -453,13 +455,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
 
 
 class Gradients:
-    """Result of a backward pass, indexable by tensor or node id."""
+    """Result of a backward pass, indexable by tensor."""
 
     def __init__(self, acc: list):
         self._acc = acc
-
-    def by_id(self, node_id: int) -> np.ndarray | None:
-        return self._acc[node_id]
 
     def wrt(self, t: Tensor) -> np.ndarray:
         if t.tape is None or t.node_id is None:

@@ -77,12 +77,6 @@ _SECTIONS = ("model", "loss", "optim", "schedule", "synth", "train")
 
 def _parse_value(raw: str, default, key: str):
     raw = raw.strip()
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if isinstance(default, int):
         try:
             return int(raw)
@@ -163,8 +157,6 @@ def apply_overrides(run: RunConfig, overrides) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import checkpoint
-from .pose import InstanceAnnotation, Keypoint, TargetSet, encode_pose, pad_targets
+from .pose import InstanceAnnotation, Keypoint, TargetSet, encode_targets
 
 log = logging.getLogger("poet.data")
 
@@ -182,10 +182,7 @@ def batch_iter(dataset: Dataset, batch_size: int, shuffle_seed: int | None, num_
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
         images = np.stack([dataset.image(int(i)) for i in chunk])
-        targets = []
-        for i in chunk:
-            poses = [encode_pose(ann) for ann in dataset.samples[int(i)].annotations]
-            targets.append(pad_targets([p for p in poses if p.is_human], num_slots))
+        targets = [encode_targets(dataset.samples[int(i)].annotations, dataset.num_keypoints, num_slots) for i in chunk]
         num_humans = sum(t.num_humans for t in targets)
         yield Batch(images, targets, num_humans, tuple(int(i) for i in chunk))
 
@@ -216,8 +213,10 @@ def filter_for_training(dataset: Dataset, max_instances: int) -> tuple[Dataset, 
 
 
 def _field(obj: dict, key: str, path: str):
+    if not isinstance(obj, dict):
+        raise MissingField(f"{path}: expected a JSON object with the field {key!r}, got {type(obj).__name__}")
     if key not in obj:
-        raise MissingField(f"{path}.{key}")
+        raise MissingField(f"{path}.{key} is missing")
     return obj[key]
 
 
@@ -226,7 +225,8 @@ def load_coco_keypoints(path: str) -> Dataset:
 
     Persons with zero labeled keypoints are retained (they encode as
     non-objects); crowd annotations are skipped. Pixels are not loaded:
-    the result supports target encoding and metric evaluation only.
+    the result supports target encoding and metric evaluation only. A field
+    of the wrong type raises ParseError naming the file and the entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -237,32 +237,42 @@ def load_coco_keypoints(path: str) -> Dataset:
     annotations = _field(doc, "annotations", path)
     sizes: dict[int, tuple[float, float]] = {}
     order: list[int] = []
-    for i, img in enumerate(images):
-        img_id = int(_field(img, "id", f"{path}.images[{i}]"))
-        sizes[img_id] = (float(_field(img, "width", f"{path}.images[{i}]")), float(_field(img, "height", f"{path}.images[{i}]")))
-        order.append(img_id)
-
-    grouped: dict[int, list[InstanceAnnotation]] = {img_id: [] for img_id in order}
-    grouped_areas: dict[int, list[float]] = {img_id: [] for img_id in order}
+    grouped: dict[int, list[InstanceAnnotation]] = {}
+    grouped_areas: dict[int, list[float]] = {}
     num_keypoints = None
-    for i, ann in enumerate(annotations):
-        where = f"{path}.annotations[{i}]"
-        if ann.get("iscrowd", 0):
-            continue
-        img_id = int(_field(ann, "image_id", where))
-        if img_id not in sizes:
-            raise ParseError(f"{where}: unknown image_id {img_id}")
-        triplets = _field(ann, "keypoints", where)
-        if len(triplets) % 3 != 0:
-            raise ParseError(f"{where}: keypoints length {len(triplets)} is not a multiple of 3")
-        k = len(triplets) // 3
-        if num_keypoints is None:
-            num_keypoints = k
-        elif k != num_keypoints:
-            raise ParseError(f"{where}: {k} keypoints, expected {num_keypoints}")
-        kps = [Keypoint(float(triplets[3 * j]), float(triplets[3 * j + 1]), int(triplets[3 * j + 2])) for j in range(k)]
-        grouped[img_id].append(InstanceAnnotation(kps, sizes[img_id]))
-        grouped_areas[img_id].append(float(ann["area"]) if "area" in ann else -1.0)
+    where = path
+    try:
+        for i, img in enumerate(images):
+            where = f"{path}.images[{i}]"
+            img_id = int(_field(img, "id", where))
+            sizes[img_id] = (float(_field(img, "width", where)), float(_field(img, "height", where)))
+            order.append(img_id)
+            grouped[img_id], grouped_areas[img_id] = [], []
+
+        for i, ann in enumerate(annotations):
+            where = f"{path}.annotations[{i}]"
+            if not isinstance(ann, dict):
+                raise ParseError(f"{where}: expected a JSON object, got {type(ann).__name__}")
+            if ann.get("iscrowd", 0):
+                continue
+            img_id = int(_field(ann, "image_id", where))
+            if img_id not in sizes:
+                raise ParseError(f"{where}: unknown image_id {img_id}")
+            triplets = _field(ann, "keypoints", where)
+            if not isinstance(triplets, list) or len(triplets) % 3 != 0:
+                raise ParseError(f"{where}: keypoints must be a list of x, y, v triplets, got {triplets!r:.40}")
+            k = len(triplets) // 3
+            if num_keypoints is None:
+                num_keypoints = k
+            elif k != num_keypoints:
+                raise ParseError(f"{where}: {k} keypoints, expected {num_keypoints}")
+            kps = [Keypoint(float(triplets[3 * j]), float(triplets[3 * j + 1]), int(triplets[3 * j + 2])) for j in range(k)]
+            grouped[img_id].append(InstanceAnnotation(kps, sizes[img_id]))
+            grouped_areas[img_id].append(float(ann["area"]) if "area" in ann else -1.0)
+    except (ParseError, MissingField):
+        raise
+    except (TypeError, ValueError) as e:  # a null or non-numeric value where a number belongs
+        raise ParseError(f"{where}: {e}") from e
 
     if num_keypoints is None:
         num_keypoints = 0

@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .loss import LossWeights, hungarian_loss_graph
-from .matching import cost_matrix_from_arrays, hungarian_assign
+from .matching import array_cost_matrix, hungarian_assign
 from .model import desk_config
-from .pose import PoseClass, PoseVector, pad_targets
+from .pose import TargetSet
 
 OP_TOLERANCE = 1e-5
 LOSS_TOLERANCE = 1e-4
@@ -113,16 +113,15 @@ def check_ops(seed: int = 0) -> dict[str, float]:
 
 
 def _random_instance(rng, n, k):
-    humans = []
-    for _ in range(int(rng.integers(1, n + 1))):
+    humans = int(rng.integers(1, n + 1))
+    targets = TargetSet(np.arange(n) < humans, np.zeros((n, 2)), np.zeros((n, 2 * k)), np.zeros((n, 2 * k)))
+    for i in range(humans):  # per person: visibility bits, offsets, center; this order fixes what a seed draws
         vis_bits = rng.integers(0, 2, k).astype(float)
         if vis_bits.sum() == 0:
             vis_bits[0] = 1.0
-        offsets = rng.uniform(-0.3, 0.3, 2 * k) * np.repeat(vis_bits, 2)
-        humans.append(
-            PoseVector(tuple(rng.uniform(0.1, 0.9, 2)), tuple(offsets), tuple(np.repeat(vis_bits, 2)), PoseClass.HUMAN)
-        )
-    targets = pad_targets(humans, n)
+        targets.visibilities[i] = np.repeat(vis_bits, 2)
+        targets.offsets[i] = rng.uniform(-0.3, 0.3, 2 * k) * targets.visibilities[i]
+        targets.center[i] = rng.uniform(0.1, 0.9, 2)
     probs = np.exp(rng.normal(size=(1, n, 2)))
     probs /= probs.sum(axis=-1, keepdims=True)
     outputs = {
@@ -148,7 +147,9 @@ def check_loss(seed: int = 0, cases: int = 100) -> float:
         k = int(rng.integers(1, 6))
         targets, outputs = _random_instance(rng, n, k)
         preds = [outputs["class_probs"][0, :, 0]] + [outputs[key][0] for key in ("center", "offsets", "visibility")]
-        assignment = hungarian_assign(cost_matrix_from_arrays(targets, *preds, weights))
+        assignment = hungarian_assign(
+            array_cost_matrix(targets.human, targets.center, targets.offsets, targets.visibilities, *preds, weights)
+        )
         humans = targets.num_humans
 
         tape = ad.Tape()

@@ -166,28 +166,17 @@ def hungarian_loss_graph(
     humans = max(int(num_humans_in_batch), 1)
 
     # flat index of the prediction slot matched to target (img, i)
-    idx = np.empty(b * n, dtype=np.intp)
-    tgt_center = np.zeros((b * n, 2))
-    tgt_offsets = np.zeros((b * n, twok))
-    tgt_vis = np.zeros((b * n, twok))
-    human_mask = np.zeros(b * n)
-    class_w = np.empty(b * n)
-    onehot = np.empty((b * n, 2))
-    for bi, (tset, assignment) in enumerate(zip(targets, assignments)):
-        perm = _perm_of(assignment)
-        for i, target in enumerate(tset):
-            row = bi * n + i
-            idx[row] = bi * n + perm[i]
-            if target.is_human:
-                human_mask[row] = 1.0
-                class_w[row] = 1.0
-                onehot[row] = (1.0, 0.0)
-                tgt_center[row] = target.center
-                tgt_offsets[row] = target.offsets
-                tgt_vis[row] = target.visibilities
-            else:
-                class_w[row] = weights.nonobject_class_weight
-                onehot[row] = (0.0, 1.0)
+    idx = (np.arange(b)[:, None] * n + np.array([_perm_of(a) for a in assignments], dtype=np.intp)).ravel()
+    is_human = np.concatenate([t.human for t in targets])
+    people = [t for t in targets if t.num_humans]  # a set without people may have no keypoint columns
+    tgt_center, tgt_offsets, tgt_vis = np.zeros((b * n, 2)), np.zeros((b * n, twok)), np.zeros((b * n, twok))
+    if people:
+        tgt_center[is_human] = np.concatenate([t.center[t.human] for t in people])
+        tgt_offsets[is_human] = np.concatenate([t.offsets[t.human] for t in people])
+        tgt_vis[is_human] = np.concatenate([t.visibilities[t.human] for t in people])
+    human_mask = is_human.astype(np.float64)
+    class_w = np.where(is_human, 1.0, weights.nonobject_class_weight)
+    onehot = np.stack([human_mask, 1.0 - human_mask], axis=1)
 
     probs = ad.take_rows(ad.reshape(outputs["class_probs"], (b * n, 2)), idx)
     center = ad.take_rows(ad.reshape(outputs["center"], (b * n, 2)), idx)

@@ -118,33 +118,11 @@ def array_cost_matrix(
     return CostMatrix(entries)
 
 
-def cost_matrix_from_arrays(
-    targets: TargetSet,
-    p_human: np.ndarray,
-    p_center: np.ndarray,
-    p_offsets: np.ndarray,
-    p_vis: np.ndarray,
-    weights: LossWeights,
-) -> CostMatrix:
-    """All pairwise costs against predictions held as arrays, e.g. one image's head outputs.
-
-    ``p_human`` is (n,), the human-class probabilities; the rest are (n, 2),
-    (n, 2K) and (n, 2K). Entries equal ``build_cost_matrix``'s bit for bit.
-    """
-    return array_cost_matrix(
-        np.array([t.is_human for t in targets], dtype=bool),
-        np.array([t.center for t in targets]),
-        np.array([t.offsets for t in targets]),
-        np.array([t.visibilities for t in targets]),
-        p_human, p_center, p_offsets, p_vis, weights,
-    )
-
-
 def build_cost_matrix(targets: TargetSet, preds: PredictionSet, weights: LossWeights) -> CostMatrix:
     """All pairwise costs; plain floats, never recorded on a tape."""
     poses = [pred.pose for pred in preds]
-    return cost_matrix_from_arrays(
-        targets,
+    return array_cost_matrix(
+        targets.human, targets.center, targets.offsets, targets.visibilities,
         np.array([pred.class_probs[0] for pred in preds]),
         np.array([p.center for p in poses]),
         np.array([p.offsets for p in poses]),

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import ParseError
 from .pose import prediction_arrays
 
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -314,16 +315,26 @@ def load_detections_jsonl(path: str, image_sizes: Sequence[tuple[float, float]])
 
 
 def load_detections_coco(path: str, image_ids: Sequence[int]) -> list[list[Detection]]:
-    """Read a COCO results-format list of keypoint detections, grouped by image id."""
+    """Read a COCO results-format list of keypoint detections, grouped by image id.
+
+    An entry that is not an object, or whose fields are missing, null or not
+    numbers, raises ParseError naming the file and the entry's index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
-        raise ValueError(f"{path}: COCO results file must be a JSON array")
+        raise ParseError(f"{path}: COCO results file must be a JSON array")
     by_image: dict[int, list[Detection]] = {int(i): [] for i in image_ids}
     for pos, entry in enumerate(entries):
-        img = int(entry["image_id"])
-        if img not in by_image:
-            continue
-        triplets = np.asarray(entry["keypoints"], dtype=np.float64).reshape(-1, 3)
-        by_image[img].append(Detection(triplets[:, :2], entry.get("score", 1.0)))
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: entry {pos}: expected a JSON object, got {type(entry).__name__}")
+        try:
+            img = int(entry["image_id"])
+            if img in by_image:
+                triplets = np.asarray(entry["keypoints"], dtype=np.float64).reshape(-1, 3)
+                by_image[img].append(Detection(triplets[:, :2], entry.get("score", 1.0)))
+        except KeyError as e:
+            raise ParseError(f"{path}: entry {pos} has no {e.args[0]!r}") from e
+        except (TypeError, ValueError) as e:  # a null or non-numeric value where a number belongs
+            raise ParseError(f"{path}: entry {pos}: {e}") from e
     return [by_image[int(i)] for i in image_ids]

@@ -105,27 +105,32 @@ class PredictionSlot:
         return self.class_probs[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSet:
-    """Fixed-size slot collection: humans first, then non-object padding."""
+    """One image's targets as arrays over n slots: humans first, then non-object padding rows of zeros.
 
-    slots: tuple[PoseVector, ...]
+    ``human`` is (n,) bool, ``center`` (n, 2), ``offsets`` and the duplicated
+    ``visibilities`` (n, 2K). Indexing, and so iterating, yields PoseVector rows.
+    """
 
-    def __init__(self, slots: Iterable[PoseVector]):
-        object.__setattr__(self, "slots", tuple(slots))
+    human: np.ndarray
+    center: np.ndarray
+    offsets: np.ndarray
+    visibilities: np.ndarray
 
     def __len__(self):
-        return len(self.slots)
+        return self.human.shape[0]
 
-    def __iter__(self):
-        return iter(self.slots)
-
-    def __getitem__(self, i):
-        return self.slots[i]
+    def __getitem__(self, i) -> PoseVector:
+        return PoseVector(self.center[i], self.offsets[i], self.visibilities[i], PoseClass(int(self.human[i])))
 
     @property
     def num_humans(self) -> int:
-        return sum(1 for p in self.slots if p.is_human)
+        return int(np.count_nonzero(self.human))
+
+
+def _blank_targets(n: int, width: int) -> TargetSet:
+    return TargetSet(np.zeros(n, dtype=bool), np.zeros((n, 2)), np.zeros((n, width)), np.zeros((n, width)))
 
 
 @dataclass(frozen=True)
@@ -149,32 +154,39 @@ def non_object_pose(num_keypoints: int) -> PoseVector:
     return PoseVector((0.0, 0.0), (0.0,) * (2 * num_keypoints), (0.0,) * (2 * num_keypoints), PoseClass.NON_OBJECT)
 
 
-def encode_pose(ann: InstanceAnnotation) -> PoseVector:
-    """Encode an annotation as a normalized pose vector.
+def encode_targets(annotations: Sequence[InstanceAnnotation], num_keypoints: int, num_slots: int) -> TargetSet:
+    """One image's targets: each instance with a visible keypoint (v > 0) takes the next slot, in order.
 
-    The center is the mean of visible keypoints divided per-axis by (W, H);
-    offsets are the visible keypoints' displacements from that center, also
-    normalized per axis, and zero for invisible keypoints. An instance with no
-    visible keypoint encodes as a non-object with all visibilities zero.
+    Its center is the mean of the visible keypoints divided per axis by the
+    image's (W, H); its offsets are the visible keypoints' displacements from
+    that center, normalized alike, and zero for invisible ones. Instances
+    without a visible keypoint are non-objects.
     """
-    w, h = ann.image_size
-    if w <= 0 or h <= 0:
-        raise ValueError(f"image size must be positive, got {ann.image_size}")
-    visible = [kp for kp in ann.keypoints if kp.v > 0]
-    if not visible:
-        return non_object_pose(ann.num_keypoints)
-    cx = sum(kp.x for kp in visible) / len(visible)
-    cy = sum(kp.y for kp in visible) / len(visible)
-    offsets: list[float] = []
-    vis: list[float] = []
-    for kp in ann.keypoints:
-        if kp.v > 0:
-            offsets.extend(((kp.x - cx) / w, (kp.y - cy) / h))
-            vis.extend((1.0, 1.0))
-        else:
-            offsets.extend((0.0, 0.0))
-            vis.extend((0.0, 0.0))
-    return PoseVector((cx / w, cy / h), offsets, vis, PoseClass.HUMAN)
+    bad = [a.image_size for a in annotations if min(a.image_size) <= 0]
+    if bad:
+        raise ValueError(f"image size must be positive, got {bad[0]}")
+    people = [a for a in annotations if a.num_visible > 0]
+    if len(people) > num_slots:
+        raise TooManyInstances(f"{len(people)} instances exceed {num_slots} slots")
+    out = _blank_targets(num_slots, 2 * num_keypoints)
+    if not people:
+        return out
+    h = len(people)
+    kps = np.array([[(kp.x, kp.y, kp.v) for kp in a.keypoints] for a in people]).reshape(h, num_keypoints, 3)
+    size = np.array([a.image_size for a in people])[:, None, :]
+    visible = kps[:, :, 2:] > 0
+    xy = np.where(visible, kps[:, :, :2], 0.0)
+    center = xy.cumsum(axis=1)[:, -1:] / visible.sum(axis=1, keepdims=True)  # summed in keypoint order, as a loop would
+    out.human[:h] = True
+    out.center[:h] = (center / size)[:, 0]
+    out.offsets[:h] = np.where(visible, (xy - center) / size, 0.0).reshape(h, -1)
+    out.visibilities[:h] = np.repeat(visible[:, :, 0], 2, axis=1)
+    return out
+
+
+def encode_pose(ann: InstanceAnnotation) -> PoseVector:
+    """One instance's pose vector: encode_targets' row for it, a non-object when no keypoint is visible."""
+    return encode_targets([ann], ann.num_keypoints, 1)[0]
 
 
 def decode_pose(p: PoseVector, image_size: Sequence[float]) -> list[Keypoint]:
@@ -189,12 +201,14 @@ def decode_pose(p: PoseVector, image_size: Sequence[float]) -> list[Keypoint]:
 
 
 def pad_targets(poses: Sequence[PoseVector], num_slots: int) -> TargetSet:
-    """Pad human poses with non-objects up to the fixed slot count, order preserved."""
+    """The poses as a target set, order preserved, padded with non-object rows up to num_slots."""
     if len(poses) > num_slots:
         raise TooManyInstances(f"{len(poses)} instances exceed {num_slots} slots")
-    k = poses[0].num_keypoints if poses else 0
-    pad = non_object_pose(k)
-    return TargetSet(tuple(poses) + (pad,) * (num_slots - len(poses)))
+    out = _blank_targets(num_slots, len(poses[0].offsets) if poses else 0)
+    for i, p in enumerate(poses):
+        out.human[i] = p.is_human
+        out.center[i], out.offsets[i], out.visibilities[i] = p.center, p.offsets, p.visibilities
+    return out
 
 
 def to_flat(p: PoseVector) -> list[float]:

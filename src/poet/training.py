@@ -143,9 +143,11 @@ def _batch_assignments(batch: Batch, outputs: dict[str, ad.Tensor], weights: Los
     center, offsets, vis = (outputs[key].data for key in ("center", "offsets", "visibility"))
     return [
         matching.hungarian_assign(
-            matching.cost_matrix_from_arrays(targets, human[b], center[b], offsets[b], vis[b], weights)
+            matching.array_cost_matrix(
+                t.human, t.center, t.offsets, t.visibilities, human[b], center[b], offsets[b], vis[b], weights
+            )
         )
-        for b, targets in enumerate(batch.targets)
+        for b, t in enumerate(batch.targets)
     ]
 
 

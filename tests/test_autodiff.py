@@ -247,6 +247,19 @@ def test_softmax_allocates_one_array_of_its_input_size():
     assert peak < 1.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
 
 
+def test_relu_without_a_tape_allocates_only_its_output():
+    # a mask for the backward pass would add an eighth of the input on top of the output
+    x = np.random.default_rng(0).uniform(-1, 1, (20, 16, 48, 48))
+    tracemalloc.start()
+    try:
+        out = ad.relu(ad.Tensor(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.tobytes() == np.maximum(x, 0.0).tobytes()
+    assert peak < 1.05 * x.nbytes, f"peak {peak / x.nbytes:.3f}x the input"
+
+
 def test_dropout_identity_modes():
     r = rng()
     x = ad.Tensor(r.uniform(-1, 1, (4, 4)))

@@ -180,13 +180,13 @@ def match_records(rng, n, k, layout):
 
 
 def object_path_csv(target_records, pred_records, weights):
-    """`poet match`'s CSV as the pose-object path writes it: from_flat, TargetSet/PredictionSet, build_cost_matrix."""
+    """`poet match`'s CSV as the pose-object path writes it: from_flat, pad_targets/PredictionSet, build_cost_matrix."""
     from poet.matching import build_cost_matrix, hungarian_assign
-    from poet.pose import PredictionSet, PredictionSlot, TargetSet, from_flat
+    from poet.pose import PredictionSet, PredictionSlot, from_flat, pad_targets
 
     lines = ["record,target,pred,pair_cost,total_cost"]
     for r, (t_entries, p_entries) in enumerate(zip(target_records, pred_records)):
-        targets = TargetSet([from_flat(e["pose"], PoseClass(int(e["class"]))) for e in t_entries])
+        targets = pad_targets([from_flat(e["pose"], PoseClass(int(e["class"]))) for e in t_entries], len(t_entries))
         preds = PredictionSet(
             [PredictionSlot(tuple(e["class_probs"]), from_flat(e["pose"], PoseClass.HUMAN)) for e in p_entries]
         )
@@ -308,6 +308,38 @@ def test_malformed_eval_predictions_exit_2_without_traceback(tiny_cfg_path, tmp_
     lines, where = MALFORMED_EVAL[case]
     (tmp_path / "p.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
     assert_usage_error(["eval", "--config", tiny_cfg_path, "--predictions", "p.jsonl"], tmp_path, where)
+
+
+GOOD_COCO_ANN = {"id": 1, "image_id": 1, "category_id": 1, "keypoints": [10, 12, 2, 20, 30, 2], "area": 400.0, "iscrowd": 0}
+GOOD_COCO = {"images": [{"id": 1, "width": 32, "height": 32}], "annotations": [GOOD_COCO_ANN]}
+GOOD_RESULT = {"image_id": 1, "category_id": 1, "keypoints": [10, 12, 1, 20, 30, 1], "score": 0.9}
+MALFORMED_COCO = {
+    # name: (annotation file, results file, expected in the error)
+    "result-is-an-array": (GOOD_COCO, [[1, 2, 3]], "results.json: entry 0: expected a JSON object"),
+    "result-image-id-null": (GOOD_COCO, [GOOD_RESULT, {**GOOD_RESULT, "image_id": None}], "results.json: entry 1:"),
+    "result-score-null": (GOOD_COCO, [{**GOOD_RESULT, "score": None}], "results.json: entry 0:"),
+    "keypoints-null": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "keypoints": None}]}, [GOOD_RESULT], "ann.json.annotations[0]: keypoints must be a list"),
+    "keypoint-not-a-number": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "keypoints": [10, "a", 2, 20, 30, 2]}]}, [GOOD_RESULT], "ann.json.annotations[0]:"),
+    "area-not-a-number": ({**GOOD_COCO, "annotations": [GOOD_COCO_ANN, {**GOOD_COCO_ANN, "area": "big"}]}, [GOOD_RESULT], "ann.json.annotations[1]:"),
+    "file-is-an-array": ([1, 2], [GOOD_RESULT], "ann.json: expected a JSON object with the field 'images', got list"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_COCO))
+def test_malformed_coco_files_exit_2_without_traceback(tiny_cfg_path, tmp_path, case):
+    annotations, results, where = MALFORMED_COCO[case]
+    (tmp_path / "ann.json").write_text(json.dumps(annotations))
+    (tmp_path / "results.json").write_text(json.dumps(results))
+    argv = ["eval", "--config", tiny_cfg_path, "--dataset", "ann.json", "--predictions", "results.json"]
+    assert_usage_error(argv, tmp_path, where)
+
+
+def test_well_formed_coco_files_evaluate(tiny_cfg_path, tmp_path, capsys):
+    (tmp_path / "ann.json").write_text(json.dumps(GOOD_COCO))
+    (tmp_path / "results.json").write_text(json.dumps([GOOD_RESULT]))
+    argv = ["eval", "--config", tiny_cfg_path, "--dataset", str(tmp_path / "ann.json"), "--predictions", str(tmp_path / "results.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "1.000"
 
 
 def _cut_bin_in_half(cache):

@@ -26,7 +26,6 @@ from poet.pose import (
     PoseVector,
     PredictionSet,
     PredictionSlot,
-    TargetSet,
     non_object_pose,
     pad_targets,
 )
@@ -135,7 +134,7 @@ def test_array_cost_matrix_equals_match_cost_with_interleaved_padding():
     rng = np.random.default_rng(21)
     for n, k in ((1, 1), (6, 3), (25, 17)):
         humans = list(random_target_set(rng, n, k, n))
-        targets = TargetSet([h if rng.random() < 0.5 else non_object_pose(k) for h in humans])
+        targets = pad_targets([h if rng.random() < 0.5 else non_object_pose(k) for h in humans], n)
         preds = random_prediction_set(rng, n, k)
         m = array_cost_matrix(*_target_arrays(targets), *_pred_arrays(preds), W).entries
         assert m.tobytes() == build_cost_matrix(targets, preds, W).entries.tobytes()

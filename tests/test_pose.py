@@ -13,6 +13,7 @@ from poet.pose import (
     TooManyInstances,
     decode_pose,
     encode_pose,
+    encode_targets,
     from_flat,
     non_object_pose,
     pad_targets,
@@ -126,7 +127,7 @@ def test_pad_targets_counts_and_order():
     ts = pad_targets(humans, 5)
     assert len(ts) == 5
     assert ts.num_humans == 2
-    assert ts[0] is humans[0] and ts[1] is humans[1]
+    assert ts[0] == humans[0] and ts[1] == humans[1]
     assert all(not ts[i].is_human for i in range(2, 5))
 
 
@@ -144,6 +145,75 @@ def test_pad_targets_overflow():
     humans = [encode_pose(ann([(5 + i, 5, 2)])) for i in range(3)]
     with pytest.raises(TooManyInstances):
         pad_targets(humans, 2)
+
+
+def oracle_encode_pose(a: InstanceAnnotation) -> PoseVector:
+    """The per-instance encoder as it was written before encode_targets: plain floats, one keypoint at a time."""
+    w, h = a.image_size
+    visible = [kp for kp in a.keypoints if kp.v > 0]
+    if not visible:
+        return non_object_pose(a.num_keypoints)
+    cx = sum(kp.x for kp in visible) / len(visible)
+    cy = sum(kp.y for kp in visible) / len(visible)
+    offsets, vis = [], []
+    for kp in a.keypoints:
+        if kp.v > 0:
+            offsets.extend(((kp.x - cx) / w, (kp.y - cy) / h))
+            vis.extend((1.0, 1.0))
+        else:
+            offsets.extend((0.0, 0.0))
+            vis.extend((0.0, 0.0))
+    return PoseVector((cx / w, cy / h), offsets, vis, PoseClass.HUMAN)
+
+
+def oracle_targets(anns, k, num_slots):
+    """Arrays of the oracle's human poses in order, then zero rows; as pad_targets lays them out, but 2K wide when empty."""
+    humans = [p for p in map(oracle_encode_pose, anns) if p.is_human]
+    human = np.arange(num_slots) < len(humans)
+    center, offsets, vis = np.zeros((num_slots, 2)), np.zeros((num_slots, 2 * k)), np.zeros((num_slots, 2 * k))
+    for i, p in enumerate(humans):
+        center[i], offsets[i], vis[i] = p.center, p.offsets, p.visibilities
+    return humans, (human, center, offsets, vis)
+
+
+@st.composite
+def annotated_images(draw):
+    k = draw(st.sampled_from([1, 5, 17]))
+    size = (draw(st.floats(1.0, 640.0)), draw(st.floats(1.0, 640.0)))  # rarely square
+    coord = st.floats(-20.0, 660.0)
+    anns = []
+    for _ in range(draw(st.integers(0, 4))):
+        kps = draw(st.lists(st.tuples(coord, coord, st.sampled_from([0, 1, 2])), min_size=k, max_size=k))
+        if draw(st.integers(0, 3)) == 0:  # an instance with every keypoint unlabeled
+            kps = [(x, y, 0) for x, y, _ in kps]
+        anns.append(InstanceAnnotation([Keypoint(*kp) for kp in kps], size))
+    return k, anns, len(anns) + draw(st.integers(0, 3))
+
+
+def _fields(t):
+    return (t.human, t.center, t.offsets, t.visibilities)
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_images())
+def test_encode_targets_holds_the_per_instance_encoders_bits(case):
+    k, anns, num_slots = case
+    humans, expected = oracle_targets(anns, k, num_slots)
+    got = encode_targets(anns, k, num_slots)
+    for want, have in zip(expected, _fields(got)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+    if humans:  # pad_targets, the PoseVector boundary, gives the same arrays
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(_fields(pad_targets(humans, num_slots)), expected))
+    assert [encode_pose(a) for a in anns] == [oracle_encode_pose(a) for a in anns]
+
+
+def test_encode_targets_of_an_image_without_annotations():
+    t = encode_targets([], 17, 3)
+    assert len(t) == 3 and t.num_humans == 0 and t.offsets.shape == (3, 34)
+    assert not any(f.any() for f in _fields(t))
+    with pytest.raises(TooManyInstances):
+        encode_targets([ann([(1, 1, 2)]), ann([(2, 2, 1)])], 1, 1)
 
 
 def test_pose_vector_validation():

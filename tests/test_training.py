@@ -460,6 +460,31 @@ def test_train_run_one_forward_per_batch_and_no_slot_objects(tmp_path, monkeypat
     assert modes.count(False) == evals * -(-run.train.val_samples // run.train.batch_size)
 
 
+def test_training_validation_and_gradcheck_build_no_pose_objects(monkeypatch):
+    import sys
+
+    from poet import gradcheck
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pose objects built")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "poet" or name.startswith("poet."):
+            for attr in ("PoseVector", "encode_pose", "pad_targets"):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+    assert patched >= 3
+    run = tiny_run()
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, 4)
+    train_epoch(params, init_optim_state(params, run.optim), dataset, run, 1)
+    loss, final, _ = training.validate(params, training.resolve_dataset("synth", run, "val"), run)
+    assert np.isfinite(loss.total) and final.ap is not None
+    assert gradcheck.check_loss(0, cases=10) < gradcheck.LOSS_TOLERANCE
+
+
 def test_evaluate_per_layer_count_and_threshold_one():
     run = tiny_run()
     dataset = synth_generate(run.synth)
@@ -522,7 +547,9 @@ def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
     expected = []
     for b, (targets, preds) in enumerate(zip(batch.targets, pred_sets)):
         arrays = [outputs["class_probs"].data[b, :, 0]] + [outputs[k].data[b] for k in ("center", "offsets", "visibility")]
-        got = matching.cost_matrix_from_arrays(targets, *arrays, run.loss).entries
+        got = matching.array_cost_matrix(
+            targets.human, targets.center, targets.offsets, targets.visibilities, *arrays, run.loss
+        ).entries
         want = matching.build_cost_matrix(targets, preds, run.loss).entries
         assert got.tobytes() == want.tobytes()
         for i, target in enumerate(targets):
