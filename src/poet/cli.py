@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 USAGE_ERROR = 2
@@ -38,8 +39,6 @@ def _load_run_config(config_path, overrides, seed):
     if overrides:
         run = apply_overrides(run, overrides)
     if seed is not None:
-        from dataclasses import replace
-
         run = replace(run, seed=seed)
     return run
 
@@ -108,10 +107,13 @@ def cmd_eval(args) -> int:
         config_path = _discover_config(args.checkpoint)
     if config_path is None and args.checkpoint:
         return _fail(f"no config found next to {args.checkpoint}; pass --config", USAGE_ERROR)
+    flags = {"score_threshold": args.score_threshold, "top_k": args.top_k}
     try:
         run = _load_run_config(config_path, args.set, None)
+        run = replace(run, train=replace(run.train, **{key: v for key, v in flags.items() if v is not None}))
     except (ConfigError, OSError) as e:
         return _fail(str(e), USAGE_ERROR)
+    threshold, top_k = run.train.score_threshold, run.train.top_k
 
     from . import metrics, training
     from .data import MissingField, ParseError
@@ -123,20 +125,19 @@ def cmd_eval(args) -> int:
     if dataset is None:
         return _fail("eval needs a dataset (--dataset synth|cache|annotations.json)", USAGE_ERROR)
 
-    if args.oks_k is not None:
+    if args.oks_k is None:
+        oks_params = training.default_oks_params(dataset.num_keypoints)
+    elif args.oks_k > 0:
         oks_params = metrics.OksParams.uniform(dataset.num_keypoints, args.oks_k)
     else:
-        oks_params = training.default_oks_params(dataset.num_keypoints)
-    threshold = args.score_threshold if args.score_threshold is not None else run.train.score_threshold
-    top_k = args.top_k if args.top_k is not None else run.train.top_k
+        return _fail(f"--oks-k must be > 0, got {args.oks_k}", USAGE_ERROR)
 
     per_layer = []
     if args.predictions:
         sizes = [training._sample_size(dataset, i) for i in range(len(dataset))]
         try:
             if args.predictions.endswith(".jsonl"):
-                dets = metrics.load_detections_jsonl(args.predictions, sizes)
-                dets = [[d for d in img if d.score >= threshold] for img in dets]
+                dets = metrics.load_detections_jsonl(args.predictions, sizes, threshold, top_k)
             else:
                 ids = [s.image_id if s.image_id is not None else i + 1 for i, s in enumerate(dataset.samples)]
                 dets = metrics.load_detections_coco(args.predictions, ids)
@@ -152,11 +153,9 @@ def cmd_eval(args) -> int:
                 "use a synth set or a dataset cache, or pass --predictions",
                 USAGE_ERROR,
             )
-        from . import training as tr
-
         try:
-            params, _, _ = tr.load_checkpoint(args.checkpoint, run.optim)
-            tr.check_params(params, run.model)
+            params, _, _ = training.load_checkpoint(args.checkpoint, run.optim)
+            training.check_params(params, run.model)
         except Exception as e:  # container, IO or config mismatch
             return _fail(f"cannot load checkpoint {args.checkpoint}: {e}", USAGE_ERROR)
         if dataset.num_keypoints != run.model.num_keypoints:
@@ -164,7 +163,7 @@ def cmd_eval(args) -> int:
                 f"dataset has {dataset.num_keypoints} keypoints but the model expects {run.model.num_keypoints}",
                 USAGE_ERROR,
             )
-        result, per_layer = tr.evaluate(params, run.model, dataset, threshold, top_k, oks_params)
+        result, per_layer = training.evaluate(params, run.model, dataset, threshold, top_k, oks_params)
 
     print(result.table_header())
     print(result.table_row())
@@ -182,33 +181,15 @@ def cmd_eval(args) -> int:
 # match
 
 
-def _read_pose_jsonl(path: str, key: str):
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: {e}") from e
-            entries = doc.get(key) if isinstance(doc, dict) else None
-            if not isinstance(entries, list):
-                raise ValueError(f"{path}:{line_no}: expected an object with a {key!r} list")
-            records.append((line_no, entries))
-    return records
-
-
 def cmd_match(args) -> int:
     from .loss import LossWeights
     from .matching import BRUTE_FORCE_MAX, array_cost_matrix, brute_force_assign, hungarian_assign
-    from .pose import prediction_arrays, target_arrays
+    from .pose import prediction_arrays, read_records, target_arrays
 
-    weights = LossWeights(args.lambda_l1, args.lambda_l2, args.lambda_ctr, args.nonobject_weight)
     try:
-        target_records = _read_pose_jsonl(args.targets, "targets")
-        pred_records = _read_pose_jsonl(args.preds, "preds")
+        weights = LossWeights(args.lambda_l1, args.lambda_l2, args.lambda_ctr)
+        target_records = read_records(args.targets, "targets")
+        pred_records = read_records(args.preds, "preds")
     except (ValueError, OSError) as e:
         return _fail(str(e), USAGE_ERROR)
     if len(target_records) != len(pred_records):
@@ -250,6 +231,8 @@ def cmd_match(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import gradcheck
 
+    if args.cases < 1:
+        return _fail(f"--cases must be >= 1, got {args.cases}", USAGE_ERROR)
     if args.inject_error:
         gradcheck.set_corruption(1e-2)
     try:
@@ -339,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--lambda-l1", type=float, default=4.0)
     match.add_argument("--lambda-l2", type=float, default=0.2)
     match.add_argument("--lambda-ctr", type=float, default=0.5)
-    match.add_argument("--nonobject-weight", type=float, default=0.1)
     match.add_argument("--oracle", action="store_true", help="cross-check against brute force (n <= 8)")
     match.add_argument("--out", help="also write the CSV here")
     match.set_defaults(handler=cmd_match)

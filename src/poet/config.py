@@ -60,6 +60,12 @@ class TrainConfig:
     score_threshold: float = 0.5
     top_k: int = 0  # 0 keeps the score-threshold rule
 
+    def __post_init__(self):
+        if self.val_samples < 1:
+            raise ConfigError(f"val_samples must be >= 1, got {self.val_samples}")
+        if self.top_k < 0:
+            raise ConfigError(f"top_k must be >= 0 (0 keeps the score-threshold rule), got {self.top_k}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

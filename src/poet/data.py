@@ -47,6 +47,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_samples < 1 or self.image_size < 8:
             raise ValueError("need at least one sample and an 8px image")
+        if self.num_keypoints < 1 or self.channels < 1:
+            raise ValueError(f"need at least one keypoint and one channel, got {self.num_keypoints} and {self.channels}")
         if not 1 <= self.min_instances <= self.max_instances:
             raise ValueError(f"bad instance range [{self.min_instances}, {self.max_instances}]")
         if not 0.0 <= self.occlusion <= 1.0:
@@ -55,6 +57,13 @@ class SynthConfig:
             raise ValueError("blob radius must be >= 1")
         if not 0.05 <= self.template_scale <= 0.45:
             raise ValueError(f"template_scale must be in [0.05, 0.45], got {self.template_scale}")
+        if self.image_size - self.margin < self.margin:
+            raise ValueError(f"a {self.image_size}px image cannot hold an instance {self.margin:g}px from every border")
+
+    @property
+    def margin(self) -> float:
+        """Smallest distance of an instance's base point from the image border, in pixels."""
+        return self.template_scale * float(self.image_size) + self.blob_radius + 4.0
 
 
 @dataclass(frozen=True)
@@ -114,9 +123,8 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     """
     rng = np.random.default_rng(cfg.seed)
     size = float(cfg.image_size)
-    template_radius = cfg.template_scale * size
-    template = _template(cfg.num_keypoints, template_radius)
-    margin = template_radius + cfg.blob_radius + 4.0
+    template = _template(cfg.num_keypoints, cfg.template_scale * size)
+    margin = cfg.margin
     samples = []
     for _ in range(cfg.num_samples):
         count = int(rng.integers(cfg.min_instances, cfg.max_instances + 1))

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ParseError
-from .pose import prediction_arrays
+from .pose import prediction_arrays, read_records
 
 DEFAULT_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 MEDIUM_RANGE = (32.0**2, 96.0**2)
@@ -276,41 +276,47 @@ def evaluate_detections(
 
 
 # ---------------------------------------------------------------------------
-# detection-file ingestion
+# slot selection and detection-file ingestion
 
 
-def load_detections_jsonl(path: str, image_sizes: Sequence[tuple[float, float]]) -> list[list[Detection]]:
+def select_detections(score, center, offsets, sizes, score_threshold: float, top_k: int) -> list[list[Detection]]:
+    """Per-image detections from B images' N slots: the slots kept, decoded to pixels.
+
+    score is (B, N) human-class probabilities, center (B, N, 2) and offsets
+    (B, N, 2K) normalized poses, sizes each image's (W, H). With top_k > 0
+    the top_k scores are kept, ties going to the lower slot; otherwise every
+    slot scoring at least score_threshold. A keypoint lands at
+    (center + offset) * (W, H), as decode_pose places it.
+    """
+    b, n = score.shape
+    per_keypoint = offsets.reshape(b, n, offsets.shape[-1] // 2, 2)
+    pixels = (center[:, :, None, :] + per_keypoint) * np.asarray(sizes, dtype=np.float64)[:, None, None, :]
+    dets = []
+    for i in range(b):
+        keep = np.argsort(-score[i], kind="stable")[:top_k] if top_k > 0 else np.flatnonzero(score[i] >= score_threshold)
+        dets.append([Detection(pixels[i, j], score[i, j]) for j in keep])
+    return dets
+
+
+def load_detections_jsonl(
+    path: str, image_sizes: Sequence[tuple[float, float]], score_threshold: float, top_k: int
+) -> list[list[Detection]]:
     """Read the package's JSON-lines prediction format, one image per line.
 
-    Each line holds {"preds": [{"pose": [...], "class_probs": [p_human, p_non]}]};
-    poses are normalized flat vectors and are decoded to pixels with the
-    matching image size. Every slot becomes a detection scored by p_human;
-    thresholding is the caller's business.
+    Each line holds {"preds": [{"pose": [...], "class_probs": [p_human, p_non]}]}
+    with normalized flat poses; select_detections keeps each line's slots by
+    the threshold or top-k rule and decodes them with the image's size.
     """
+    records = read_records(path, "preds")
+    if len(records) > len(image_sizes):
+        raise ValueError(f"{path}:{records[len(image_sizes)][0]}: more prediction lines than images ({len(image_sizes)})")
     per_image: list[list[Detection]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from e
-            if len(per_image) >= len(image_sizes):
-                raise ValueError(f"{path}:{line_no}: more prediction lines than images ({len(image_sizes)})")
-            entries = record.get("preds", []) if isinstance(record, dict) else None
-            if not isinstance(entries, list):
-                raise ValueError(f"{path}:{line_no}: expected an object with a 'preds' list")
-            try:
-                scores, center, offsets, _ = prediction_arrays(entries)
-            except ValueError as e:
-                raise ValueError(f"{path}:{line_no}: {e}") from e
-            # decode_pose's operations on the whole record: (center + offset) * (W, H)
-            w, h = image_sizes[len(per_image)]
-            per_keypoint = offsets.reshape(len(entries), offsets.shape[1] // 2, 2)
-            pixels = (center[:, None, :] + per_keypoint) * np.array([float(w), float(h)])
-            per_image.append([Detection(kps, score) for kps, score in zip(pixels, scores)])
+    for (line_no, entries), size in zip(records, image_sizes):
+        try:
+            score, center, offsets, _ = prediction_arrays(entries)
+        except ValueError as e:
+            raise ValueError(f"{path}:{line_no}: {e}") from e
+        per_image += select_detections(score[None], center[None], offsets[None], [size], score_threshold, top_k)
     return per_image
 
 

@@ -10,6 +10,7 @@ carry the non-object class with all visibilities zero.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -176,7 +177,8 @@ def encode_targets(annotations: Sequence[InstanceAnnotation], num_keypoints: int
     size = np.array([a.image_size for a in people])[:, None, :]
     visible = kps[:, :, 2:] > 0
     xy = np.where(visible, kps[:, :, :2], 0.0)
-    center = xy.cumsum(axis=1)[:, -1:] / visible.sum(axis=1, keepdims=True)  # summed in keypoint order, as a loop would
+    # summed in keypoint order from +0.0, as sum() does: a total of only -0.0 terms is +0.0
+    center = (0.0 + xy.cumsum(axis=1)[:, -1:]) / visible.sum(axis=1, keepdims=True)
     out.human[:h] = True
     out.center[:h] = (center / size)[:, 0]
     out.offsets[:h] = np.where(visible, (xy - center) / size, 0.0).reshape(h, -1)
@@ -237,6 +239,28 @@ def from_flat(values: Sequence[float], pose_class: PoseClass | int) -> PoseVecto
 # ---------------------------------------------------------------------------
 # JSON-lines records as arrays: {"pose": [2 + 3K numbers], "class": 0|1} targets
 # and {"pose": [...], "class_probs": [p_human, p_non]} predictions, n per record
+
+
+def read_records(path: str, key: str) -> list[tuple[int, list]]:
+    """(line number, entries) of each non-blank line of a JSON-lines file of {key: [entries]} objects.
+
+    A line that is not JSON, or not an object with a list under key, raises ValueError naming path:line.
+    """
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}:{line_no}: invalid JSON: {e}") from e
+            entries = doc.get(key) if isinstance(doc, dict) else None
+            if not isinstance(entries, list):
+                raise ValueError(f"{path}:{line_no}: expected an object with a {key!r} list")
+            records.append((line_no, entries))
+    return records
 
 
 def arrays_from_flat(poses: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -261,19 +261,6 @@ def _layer_outputs(images: np.ndarray, cparams: dict[str, ad.Tensor], cfg: Model
     return [model.head_forward(state, cparams, cfg) for state in states[:-1]] + [outputs]
 
 
-def _detections(outputs: dict[str, ad.Tensor], sizes, score_threshold: float, top_k: int) -> list[list[metrics.Detection]]:
-    """Per-image detections: slots kept by score threshold (or the top-k scores, ties by slot) and decoded to pixels."""
-    score = outputs["class_probs"].data[..., 0]
-    b, n = score.shape
-    center = outputs["center"].data[:, :, None, :]
-    pixels = (center + outputs["offsets"].data.reshape(b, n, -1, 2)) * np.asarray(sizes)[:, None, None, :]
-    dets = []
-    for i in range(b):
-        keep = np.argsort(-score[i], kind="stable")[:top_k] if top_k > 0 else np.flatnonzero(score[i] >= score_threshold)
-        dets.append([metrics.Detection(pixels[i, j], score[i, j]) for j in keep])
-    return dets
-
-
 def default_oks_params(num_keypoints: int) -> metrics.OksParams:
     return metrics.OksParams.coco17() if num_keypoints == 17 else metrics.OksParams.uniform(num_keypoints)
 
@@ -322,8 +309,9 @@ def evaluate(
         indices = range(start, min(start + chunk, len(dataset)))
         images = np.stack([dataset.image(i) for i in indices])
         sizes = [_sample_size(dataset, i) for i in indices]
-        for dets, outputs in zip(per_layer, _layer_outputs(images, cparams, cfg)):
-            dets += _detections(outputs, sizes, score_threshold, top_k)
+        for dets, out in zip(per_layer, _layer_outputs(images, cparams, cfg)):
+            score, center, offsets = out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data
+            dets += metrics.select_detections(score, center, offsets, sizes, score_threshold, top_k)
     results = _score_layers(per_layer, dataset, oks_params or default_oks_params(cfg.num_keypoints))
     return results[-1], results
 
@@ -343,8 +331,9 @@ def validate(
         layers = _layer_outputs(batch.images, cparams, cfg)
         losses.append(_batch_loss(batch, layers[-1], run.loss))
         sizes = [_sample_size(dataset, i) for i in batch.indices]
-        for dets, outputs in zip(per_layer, layers):
-            dets += _detections(outputs, sizes, run.train.score_threshold, run.train.top_k)
+        for dets, out in zip(per_layer, layers):
+            score, center, offsets = out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data
+            dets += metrics.select_detections(score, center, offsets, sizes, run.train.score_threshold, run.train.top_k)
     results = _score_layers(per_layer, dataset, default_oks_params(cfg.num_keypoints))
     return _mean_breakdown(losses), results[-1], results
 

@@ -281,6 +281,7 @@ MALFORMED_EVAL = {
     "eval-class-probs-is-a-number": ([{"preds": _with(GOOD_PREDS, 1, class_probs=0.2)}] * VAL_IMAGES, "p.jsonl:1:"),
     "eval-fewer-lines-than-images": ([{"preds": GOOD_PREDS}], "image counts differ"),
     "eval-keypoint-count-differs": ([{"preds": [{"pose": [0.5] * 5, "class_probs": [0.7, 0.3]}]}] * VAL_IMAGES, "keypoint counts differ"),
+    "eval-line-without-preds": ([{"pred": GOOD_PREDS}] * VAL_IMAGES, "p.jsonl:1: expected an object with a 'preds' list"),
 }
 
 
@@ -308,6 +309,37 @@ def test_malformed_eval_predictions_exit_2_without_traceback(tiny_cfg_path, tmp_
     lines, where = MALFORMED_EVAL[case]
     (tmp_path / "p.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
     assert_usage_error(["eval", "--config", tiny_cfg_path, "--predictions", "p.jsonl"], tmp_path, where)
+
+
+OUT_OF_RANGE = {
+    # name: (arguments, run next to tiny.cfg and the VAL_IMAGES-line t.jsonl and p.jsonl; expected in the error)
+    **{
+        f"match-lambda-{term}": (["match", "t.jsonl", "p.jsonl", f"--lambda-{term}", "-1"], f"lambda_{term} must be >= 0")
+        for term in ("l1", "l2", "ctr")
+    },
+    **{
+        f"eval-oks-k-{k}": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--oks-k", k], "--oks-k must be > 0")
+        for k in ("0", "-1")
+    },
+    "eval-top-k-negative": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--top-k", "-2"], "top_k must be >= 0"),
+    "train-top-k-negative": (["train", "--config", "tiny.cfg", "--set", "train.top_k=-2", "--out-dir", "out"], "top_k must be >= 0"),
+    "train-val-samples-0": (["train", "--config", "tiny.cfg", "--set", "train.val_samples=0", "--out-dir", "out"], "val_samples must be >= 1"),
+    "synth-keypoints-0": (["synth", "--keypoints", "0", "--samples", "2", "--out", "s.bin"], "at least one keypoint"),
+    "synth-channels-0": (["synth", "--channels", "0", "--samples", "2", "--out", "s.bin"], "one channel"),
+    "synth-image-size-16": (["synth", "--image-size", "16", "--samples", "2", "--out", "s.bin"], "cannot hold an instance"),
+    **{
+        f"gradcheck-cases-{n}": (["gradcheck", "--component", "loss", "--cases", n], "--cases must be >= 1")
+        for n in ("0", "-1")
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_numbers_exit_2_without_traceback(tiny_cfg_path, tmp_path, case):
+    argv, where = OUT_OF_RANGE[case]
+    (tmp_path / "t.jsonl").write_text((json.dumps({"targets": GOOD_TARGETS}) + "\n") * VAL_IMAGES)
+    (tmp_path / "p.jsonl").write_text((json.dumps({"preds": GOOD_PREDS}) + "\n") * VAL_IMAGES)
+    assert_usage_error(argv, tmp_path, where)
 
 
 GOOD_COCO_ANN = {"id": 1, "image_id": 1, "category_id": 1, "keypoints": [10, 12, 2, 20, 30, 2], "area": 400.0, "iscrowd": 0}
@@ -465,6 +497,36 @@ def test_eval_external_predictions_jsonl(tiny_cfg_path, tmp_path, capsys):
     assert code == 0
     row = capsys.readouterr().out.splitlines()[1]
     assert row.split()[0] == "1.000"
+
+
+def test_eval_predictions_top_k_keeps_that_many_per_image(tiny_cfg_path, tmp_path, capsys, monkeypatch):
+    # each image holds its exact poses at score 0.6 and three random poses at 0.9
+    from poet import metrics, training
+    from poet.config import load_config
+
+    val = training.resolve_dataset("synth", load_config(tiny_cfg_path), "val")
+    rng = np.random.default_rng(3)
+    with open(tmp_path / "p.jsonl", "w") as fh:
+        for sample in val.samples:
+            exact = [{"pose": to_flat(encode_pose(a)), "class_probs": [0.6, 0.4]} for a in sample.annotations if a.num_visible]
+            noise = [{"pose": rng.uniform(0.0, 1.0, 8).tolist(), "class_probs": [0.9, 0.1]} for _ in range(3)]
+            fh.write(json.dumps({"preds": exact + noise}) + "\n")
+    scored = []
+    score = metrics.evaluate_detections
+
+    def recording(detections, *args):
+        scored.append(detections)
+        return score(detections, *args)
+
+    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    rows = []
+    for top_k in ("0", "1"):
+        argv = ["eval", "--config", tiny_cfg_path, "--predictions", str(tmp_path / "p.jsonl"), "--score-threshold", "0", "--top-k", top_k]
+        assert main(argv) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1].split())
+    assert [len(img) for img in scored[1]] == [1] * len(val)
+    assert all(d.score == 0.9 for img in scored[1] for d in img)
+    assert rows[0][0] != "0.000" and (rows[1][0], rows[1][5]) == ("0.000", "0.000")  # AP, AR
 
 
 def test_eval_keypoint_count_mismatch(tiny_cfg_path, tmp_path, capsys):

@@ -193,17 +193,25 @@ def test_load_detections_jsonl(tmp_path):
     path = tmp_path / "preds.jsonl"
     record = {"preds": [{"pose": [0.5, 0.5, 0.1, -0.1, 1.0], "class_probs": [0.8, 0.2]}]}
     path.write_text(json.dumps(record) + "\n")
-    per_image = load_detections_jsonl(str(path), [(200, 100)])
+    per_image = load_detections_jsonl(str(path), [(200, 100)], 0.0, 0)
     assert len(per_image) == 1 and len(per_image[0]) == 1
     np.testing.assert_allclose(per_image[0][0].keypoints, [[120.0, 40.0]])
     assert per_image[0][0].score == 0.8
+
+
+def test_load_detections_jsonl_empty_line_is_an_image_without_detections(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    record = {"preds": [{"pose": [0.5, 0.5, 0.1, -0.1, 1.0], "class_probs": [0.8, 0.2]}]}
+    path.write_text(json.dumps({"preds": []}) + "\n" + json.dumps(record) + "\n")
+    empty, one = load_detections_jsonl(str(path), [(200, 100), (200, 100)], 0.0, 0)
+    assert empty == [] and len(one) == 1
 
 
 def test_load_detections_jsonl_errors(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json\n")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
-        load_detections_jsonl(str(path), [(10, 10)])
+        load_detections_jsonl(str(path), [(10, 10)], 0.0, 0)
 
 
 def test_load_detections_jsonl_equals_from_flat_and_decode_pose(tmp_path):
@@ -221,7 +229,7 @@ def test_load_detections_jsonl_equals_from_flat_and_decode_pose(tmp_path):
             records.append(preds)
         path = tmp_path / f"preds{trial}.jsonl"
         path.write_text("".join(json.dumps({"preds": preds}) + "\n" for preds in records))
-        per_image = load_detections_jsonl(str(path), sizes)
+        per_image = load_detections_jsonl(str(path), sizes, 0.0, 0)
         assert len(per_image) == len(records)
         for dets, preds, size in zip(per_image, records, sizes):
             assert len(dets) == len(preds)

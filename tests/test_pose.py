@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poet.pose import (
     InstanceAnnotation,
@@ -196,6 +196,7 @@ def _fields(t):
 
 @settings(max_examples=150, deadline=None)
 @given(annotated_images())
+@example((1, [InstanceAnnotation([Keypoint(0.0, -0.0, 1)], (1.0, 1.0))], 1))  # a -0.0 total: sum() gives +0.0
 def test_encode_targets_holds_the_per_instance_encoders_bits(case):
     k, anns, num_slots = case
     humans, expected = oracle_targets(anns, k, num_slots)

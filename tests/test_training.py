@@ -5,7 +5,7 @@ import poet.autodiff as ad
 from poet import model, training
 from poet.config import OptimConfig, RunConfig, ScheduleConfig, parse_config
 from poet.data import synth_generate
-from poet.metrics import Detection, GroundTruthInstance
+from poet.metrics import Detection, GroundTruthInstance, select_detections
 from poet.model import desk_config
 from poet.training import (
     OptimState,
@@ -278,18 +278,16 @@ def test_evaluate_perfect_and_empty_threshold():
 
 def test_detections_threshold_and_topk():
     # four slots of one image, one keypoint each; ties in score keep slot order under top-k
-    outputs = {
-        "class_probs": ad.Tensor(np.array([[[0.9, 0.1], [0.4, 0.6], [0.7, 0.3], [0.9, 0.1]]])),
-        "center": ad.Tensor(np.full((1, 4, 2), 0.5)),
-        "offsets": ad.Tensor(np.array([[[0.1, 0.1], [0.0, 0.0], [-0.1, 0.2], [0.2, 0.0]]])),
-    }
-    (by_threshold,) = training._detections(outputs, [(100.0, 50.0)], 0.5, 0)
+    score = np.array([[0.9, 0.4, 0.7, 0.9]])
+    center = np.full((1, 4, 2), 0.5)
+    offsets = np.array([[[0.1, 0.1], [0.0, 0.0], [-0.1, 0.2], [0.2, 0.0]]])
+    (by_threshold,) = select_detections(score, center, offsets, [(100.0, 50.0)], 0.5, 0)
     assert [d.score for d in by_threshold] == [0.9, 0.7, 0.9]
     np.testing.assert_array_equal(by_threshold[1].keypoints, [[(0.5 - 0.1) * 100.0, (0.5 + 0.2) * 50.0]])
-    (top2,) = training._detections(outputs, [(100.0, 50.0)], 0.5, 2)
+    (top2,) = select_detections(score, center, offsets, [(100.0, 50.0)], 0.5, 2)
     assert [d.score for d in top2] == [0.9, 0.9]
     np.testing.assert_array_equal(top2[1].keypoints, [[(0.5 + 0.2) * 100.0, 0.5 * 50.0]])
-    assert training._detections(outputs, [(100.0, 50.0)], 1.0, 0) == [[]]
+    assert select_detections(score, center, offsets, [(100.0, 50.0)], 1.0, 0) == [[]]
 
 
 def _slot_path_detections(params, cfg, dataset, score_threshold, top_k, batch_size):
