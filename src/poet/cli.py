@@ -9,6 +9,7 @@ inside the subcommands so --threads can cap BLAS pools before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -289,6 +290,7 @@ def cmd_synth(args) -> int:
 # parser
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poet", description="Set-prediction multi-instance pose toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,6 +11,7 @@ identical RunConfig.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .data import SynthConfig
@@ -31,6 +32,17 @@ class OptimConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 0.1  # 0 disables clipping
+
+    def __post_init__(self):
+        # each check holds for the values accepted, so NaN fails it
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        for key in ("lr_transformer", "lr_backbone", "weight_decay", "clip_norm"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +73,8 @@ class TrainConfig:
     top_k: int = 0  # 0 keeps the score-threshold rule
 
     def __post_init__(self):
+        if not self.batch_size >= 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.val_samples < 1:
             raise ConfigError(f"val_samples must be >= 1, got {self.val_samples}")
         if self.top_k < 0:

@@ -274,6 +274,7 @@ def _score_layers(per_layer, dataset: Dataset, oks_params: metrics.OksParams) ->
 # freed arrays of one chunk are reused by the next instead of being handed back to
 # the system and faulted in again
 EVAL_CHUNK_BYTES = 16 << 20
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
 
 
 def _images_per_forward(cfg: ModelConfig, height: int, width: int) -> int:
@@ -289,6 +290,24 @@ def _images_per_forward(cfg: ModelConfig, height: int, width: int) -> int:
     return max(1, EVAL_CHUNK_BYTES // (8 * largest))
 
 
+def _forward_range(dataset: Dataset, images: range, chunk: int, cparams, cfg: ModelConfig) -> list:
+    """(indices, each decoder layer's (score, center, offsets) arrays) for each chunk of an image range, in order."""
+    forwarded = []
+    for start in range(images.start, images.stop, chunk):
+        indices = range(start, min(start + chunk, images.stop))
+        layers = _layer_outputs(np.stack([dataset.image(i) for i in indices]), cparams, cfg)
+        forwarded.append((indices, [(o["class_probs"].data[..., 0], o["center"].data, o["offsets"].data) for o in layers]))
+    return forwarded
+
+
+def _forward_worker(conn, *args) -> None:
+    """A forked child's _forward_range, sent back over the pipe; a failure is sent as its message."""
+    try:
+        conn.send(_forward_range(*args))
+    except Exception as e:
+        conn.send(f"{type(e).__name__}: {e}")
+
+
 def evaluate(
     params: dict[str, np.ndarray],
     cfg: ModelConfig,
@@ -300,17 +319,48 @@ def evaluate(
     """Score the model on a dataset; returns (final result, one result per decoder layer).
 
     Only pixels and annotations are read, so images may hold more people than the model has slots.
-    The model runs in chunks of images sized by _images_per_forward; outputs do not depend on them.
+    The model runs in chunks of images sized by _images_per_forward, in contiguous ranges, one per chunk
+    and per usable core the BLAS threads leave: forked children forward all ranges but the first, which
+    this process forwards before it selects and scores every detection. Outputs depend on neither split.
     """
     cparams = model.constant_params(params)
+    n = len(dataset)
+    chunk = _images_per_forward(cfg, *dataset.image(0).shape[1:]) if n else 1
+    cores = len(os.sched_getaffinity(0))
+    # each process runs the BLAS threads that numpy was started with, every core when unset:
+    # processes whose threads outnumber the cores run several times slower than one process
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREADS) if v and v.isdigit() and int(v) > 0), cores)
+    w = min(max(1, cores // blas), -(-n // chunk)) or 1
+    ranges = [range(n * i // w, n * (i + 1) // w) for i in range(w)]
+    workers = []
+    try:
+        if w > 1:
+            import multiprocessing  # only here: its import is a share of a short run's set-up
+            ctx = multiprocessing.get_context("fork")  # the children share the parameters and the dataset unpickled
+            for images in ranges[1:]:
+                receive, send = ctx.Pipe(duplex=False)
+                process = ctx.Process(target=_forward_worker, args=(send, dataset, images, chunk, cparams, cfg))
+                process.start()
+                workers.append((images, process, receive))
+                send.close()
+        forwarded = _forward_range(dataset, ranges[0], chunk, cparams, cfg)
+        for images, _, receive in workers:
+            try:
+                got = receive.recv()
+            except EOFError:
+                got = "the worker exited without sending its outputs"
+            if isinstance(got, str):
+                raise RuntimeError(f"evaluating images {images.start}..{images.stop - 1}: {got}")
+            forwarded += got
+    finally:
+        for _, process, receive in workers:  # a child that has sent is done; any other is no longer wanted
+            process.terminate()
+            process.join()
+            receive.close()
     per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
-    chunk = _images_per_forward(cfg, *dataset.image(0).shape[1:]) if len(dataset) else 1
-    for start in range(0, len(dataset), chunk):
-        indices = range(start, min(start + chunk, len(dataset)))
-        images = np.stack([dataset.image(i) for i in indices])
+    for indices, layers in forwarded:
         sizes = [_sample_size(dataset, i) for i in indices]
-        for dets, out in zip(per_layer, _layer_outputs(images, cparams, cfg)):
-            score, center, offsets = out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data
+        for dets, (score, center, offsets) in zip(per_layer, layers):
             dets += metrics.select_detections(score, center, offsets, sizes, score_threshold, top_k)
     results = _score_layers(per_layer, dataset, oks_params or default_oks_params(cfg.num_keypoints))
     return results[-1], results

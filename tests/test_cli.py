@@ -331,6 +331,23 @@ OUT_OF_RANGE = {
         f"gradcheck-cases-{n}": (["gradcheck", "--component", "loss", "--cases", n], "--cases must be >= 1")
         for n in ("0", "-1")
     },
+    "train-batch-size-0": (["train", "--config", "tiny.cfg", "--set", "train.batch_size=0", "--out-dir", "out"], "batch_size must be >= 1"),
+    **{
+        f"train-optim-{key}-{value}": (
+            ["train", "--config", "tiny.cfg", "--set", f"optim.{key}={value}", "--out-dir", "out"],
+            f"{key} must be {rule}",
+        )
+        for key, values, rule in (
+            ("beta1", ("1", "1.5", "-0.1", "nan"), "in [0, 1)"),
+            ("beta2", ("1", "nan"), "in [0, 1)"),
+            ("eps", ("0", "-1e-8", "inf", "nan"), "finite and > 0"),
+            ("lr_transformer", ("-1e-4", "inf", "nan"), "finite and >= 0"),
+            ("lr_backbone", ("-1e-5", "nan"), "finite and >= 0"),
+            ("weight_decay", ("-1e-4", "nan"), "finite and >= 0"),
+            ("clip_norm", ("-1", "inf", "nan"), "finite and >= 0"),
+        )
+        for value in values
+    },
 }
 
 
@@ -340,6 +357,21 @@ def test_out_of_range_numbers_exit_2_without_traceback(tiny_cfg_path, tmp_path, 
     (tmp_path / "t.jsonl").write_text((json.dumps({"targets": GOOD_TARGETS}) + "\n") * VAL_IMAGES)
     (tmp_path / "p.jsonl").write_text((json.dumps({"preds": GOOD_PREDS}) + "\n") * VAL_IMAGES)
     assert_usage_error(argv, tmp_path, where)
+
+
+def test_edge_values_of_the_checked_numbers_are_accepted(tiny_cfg_path, tmp_path):
+    import poet
+
+    edges = ["optim.beta1=0", "optim.beta2=0", "optim.eps=5e-324", "optim.lr_transformer=0", "optim.lr_backbone=0"]
+    edges += ["optim.weight_decay=0", "optim.clip_norm=0", "train.batch_size=1", "schedule.epochs=1"]
+    argv = ["train", "--config", tiny_cfg_path, "--out-dir", str(tmp_path / "out")]
+    for edge in edges:
+        argv += ["--set", edge]
+    env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    effective = (tmp_path / "out" / "effective.cfg").read_text()
+    assert all(f"{edge.split('=')[0]} = " in effective for edge in edges)
 
 
 GOOD_COCO_ANN = {"id": 1, "image_id": 1, "category_id": 1, "keypoints": [10, 12, 2, 20, 30, 2], "area": 400.0, "iscrowd": 0}
@@ -434,6 +466,31 @@ def test_train_eval_roundtrip(tiny_cfg_path, tmp_path, capsys):
     assert "AP" in text and "layer 0:" in text and "layer 1:" in text
     payload = json.loads(Path(json_out).read_text())
     assert "ap" in payload and len(payload["per_layer"]) == 2
+
+
+def test_main_twice_in_one_process_carries_nothing_over(tiny_cfg_path, tmp_path, capsys, monkeypatch):
+    from poet import cli
+
+    overrides = []
+    load = cli._load_run_config
+
+    def recording(config_path, given, seed):
+        overrides.append(list(given))
+        return load(config_path, given, seed)
+
+    monkeypatch.setattr(cli, "_load_run_config", recording)
+    first = tmp_path / "first"
+    argv = ["train", "--config", tiny_cfg_path, "--out-dir", str(first), "--seed", "7"]
+    assert main(argv + ["--set", "train.top_k=2", "--set", "schedule.epochs=1"]) == 0
+    ckpt = str(first / "checkpoint_final.bin")
+    assert main(["eval", "--checkpoint", ckpt, "--set", "train.score_threshold=0.25", "--out", str(tmp_path / "e.json")]) == 0
+    second = tmp_path / "second"
+    assert main(["train", "--config", tiny_cfg_path, "--out-dir", str(second), "--set", "schedule.epochs=1"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert overrides == [["train.top_k=2", "schedule.epochs=1"], ["train.score_threshold=0.25"], ["schedule.epochs=1"]]
+    effective = (second / "effective.cfg").read_text()
+    assert "run.seed = 5\n" in effective and "train.top_k = 0\n" in effective
+    assert "run.seed = 7\n" in (first / "effective.cfg").read_text()
 
 
 def test_train_set_override_lands_in_effective_config(tiny_cfg_path, tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,7 @@ def test_evaluate_chunks_give_the_whole_set_forwards_results(chunk, monkeypatch)
 
     monkeypatch.setattr(model, "model_forward", counting)
     monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # forwards are counted in this process
     results = []
     for budget in (1 << 40, chunk * per_image_bytes + per_image_bytes - 1):
         monkeypatch.setattr(training, "EVAL_CHUNK_BYTES", budget)
@@ -386,6 +389,118 @@ def test_images_per_forward_follows_the_largest_activation(monkeypatch):
     # 128 px at paper scale: scores of 8 heads over 16 tokens, against an im2col block of 3 * 9 * 64 * 64
     assert training._images_per_forward(model.ModelConfig.paper_scale(), 128, 128) == (8 << 20) // (8 * 3 * 9 * 64 * 64)
     assert training._images_per_forward(synth_tiny, 1024, 1024) == 1
+
+
+def _split_run(monkeypatch, cores: int, images_per_chunk: int):
+    """tiny_run's 12 val images and 8 slots, with `cores` usable cores, one BLAS thread and chunks of that many images."""
+    run = parse_config(TINY_CFG_TEXT + "model.num_queries = 8\n")
+    cfg = run.model
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    per_image_bytes = 8 * cfg.heads * (32 // cfg.total_stride) ** 4  # the attention scores, as above
+    monkeypatch.setattr(training, "EVAL_CHUNK_BYTES", images_per_chunk * per_image_bytes)
+    params = model.init_params(cfg, 4)
+    params["head.class.bias"] = np.array([-1.5, 0.0])  # human scores on both sides of 0.5 in every layer
+    return params, cfg, training.resolve_dataset("synth", run, "val")
+
+
+def _parent_ranges(monkeypatch) -> list[range]:
+    """The image ranges this process forwards; a forked child's calls are not seen here."""
+    ranges = []
+    forward = training._forward_range
+
+    def recording(dataset, images, *args):
+        ranges.append(images)
+        return forward(dataset, images, *args)
+
+    monkeypatch.setattr(training, "_forward_range", recording)
+    return ranges
+
+
+@pytest.mark.parametrize("score_threshold,top_k", [(0.0, 0), (0.5, 0), (0.0, 5)])
+def test_evaluate_on_two_workers_equals_one_bit_for_bit(score_threshold, top_k, monkeypatch):
+    from poet import metrics
+
+    scored = []
+    score = metrics.evaluate_detections
+
+    def recording(detections, *args):
+        scored.append([[(d.keypoints.tobytes(), np.float64(d.score).tobytes()) for d in img] for img in detections])
+        return score(detections, *args)
+
+    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    results, ranges = [], _parent_ranges(monkeypatch)
+    for cores in (1, 2):
+        params, cfg, dataset = _split_run(monkeypatch, cores, images_per_chunk=2)  # 6 chunks, 3 per worker
+        results.append(evaluate(params, cfg, dataset, score_threshold, top_k))
+    assert ranges == [range(0, 12), range(0, 6)]
+    one, two = scored[: cfg.dec_layers], scored[cfg.dec_layers :]
+    assert one == two and sum(len(img) for layer in one for img in layer) > 0
+    assert results[0] == results[1]
+    if top_k:
+        assert all(len(img) == top_k for layer in one for img in layer)
+    elif score_threshold:
+        assert all(0 < sum(len(img) for img in layer) < 12 * cfg.num_queries for layer in one)
+
+
+@pytest.mark.parametrize("death", ["raises", "exits", "parent raises"])
+def test_a_failed_forward_names_its_range_and_leaves_no_child(death, monkeypatch):
+    import multiprocessing
+    import time
+
+    params, cfg, dataset = _split_run(monkeypatch, 2, images_per_chunk=4)
+    parent, forward = os.getpid(), model.model_forward
+
+    def failing(*args, **kwargs):
+        if death == "parent raises" and os.getpid() == parent:
+            raise FloatingPointError("injected in the parent")
+        if death == "parent raises":
+            time.sleep(60)  # still forwarding when the parent fails
+        elif os.getpid() != parent:
+            if death == "exits":
+                os._exit(3)
+            raise FloatingPointError("injected")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "model_forward", failing)
+    if death == "parent raises":
+        expected = pytest.raises(FloatingPointError, match="injected in the parent")
+    else:
+        message = "FloatingPointError: injected" if death == "raises" else "the worker exited without sending"
+        expected = pytest.raises(RuntimeError, match=r"evaluating images 6\.\.11: " + message)
+    started = time.perf_counter()
+    with expected:
+        evaluate(params, cfg, dataset, 0.0, 0)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - started < 30
+
+
+@pytest.mark.parametrize(
+    "cores,images_per_chunk,blas_threads,parent_range",
+    [
+        (1, 2, "1", range(0, 12)),  # one core
+        (2, 12, "1", range(0, 12)),  # one chunk
+        (2, 2, "2", range(0, 12)),  # the BLAS threads take both cores
+        (2, 2, "", range(0, 12)),  # unset: BLAS takes every core
+        (2, 2, "1", range(0, 6)),
+        (4, 6, "1", range(0, 6)),  # two chunks on four cores
+    ],
+)
+def test_worker_count_stays_within_free_cores_and_chunks(cores, images_per_chunk, blas_threads, parent_range, monkeypatch):
+    params, cfg, dataset = _split_run(monkeypatch, cores, images_per_chunk)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    ranges = _parent_ranges(monkeypatch)
+    if parent_range == range(0, 12):
+
+        def no_fork():
+            raise AssertionError("a run with one worker forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    evaluate(params, cfg, dataset, 0.0, 0)
+    assert ranges == [parent_range]
 
 
 def test_validate_matches_dataset_loss_and_evaluate():
