@@ -128,10 +128,10 @@ def cmd_eval(args) -> int:
 
     if args.oks_k is None:
         oks_params = training.default_oks_params(dataset.num_keypoints)
-    elif args.oks_k > 0:
+    elif 0 < args.oks_k < float("inf"):  # an infinite constant scores every pose a perfect match
         oks_params = metrics.OksParams.uniform(dataset.num_keypoints, args.oks_k)
     else:
-        return _fail(f"--oks-k must be > 0, got {args.oks_k}", USAGE_ERROR)
+        return _fail(f"--oks-k must be > 0 and finite, got {args.oks_k}", USAGE_ERROR)
 
     per_layer = []
     if args.predictions:
@@ -159,11 +159,10 @@ def cmd_eval(args) -> int:
             training.check_params(params, run.model)
         except Exception as e:  # container, IO or config mismatch
             return _fail(f"cannot load checkpoint {args.checkpoint}: {e}", USAGE_ERROR)
-        if dataset.num_keypoints != run.model.num_keypoints:
-            return _fail(
-                f"dataset has {dataset.num_keypoints} keypoints but the model expects {run.model.num_keypoints}",
-                USAGE_ERROR,
-            )
+        try:
+            training.check_dataset(dataset, run.model, "evaluation")
+        except ConfigError as e:
+            return _fail(str(e), USAGE_ERROR)
         result, per_layer = training.evaluate(params, run.model, dataset, threshold, top_k, oks_params)
 
     print(result.table_header())
@@ -183,7 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
-    from .loss import LossWeights
+    from .config import LossWeights
     from .matching import BRUTE_FORCE_MAX, array_cost_matrix, brute_force_assign, hungarian_assign
     from .pose import prediction_arrays, read_records, target_arrays
 
@@ -232,8 +231,9 @@ def cmd_match(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import gradcheck
 
-    if args.cases < 1:
-        return _fail(f"--cases must be >= 1, got {args.cases}", USAGE_ERROR)
+    for flag, value, lowest in (("--cases", args.cases, 1), ("--seed", args.seed, 0)):
+        if value < lowest:
+            return _fail(f"{flag} must be >= {lowest}, got {value}", USAGE_ERROR)
     if args.inject_error:
         gradcheck.set_corruption(1e-2)
     try:
@@ -250,7 +250,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .data import SynthConfig, save_dataset_cache, synth_generate
+    from .config import ConfigError, SynthConfig
+    from .data import save_dataset_cache, synth_generate
 
     try:
         cfg = SynthConfig(
@@ -264,7 +265,7 @@ def cmd_synth(args) -> int:
             channels=args.channels,
             seed=args.seed,
         )
-    except ValueError as e:
+    except ConfigError as e:
         return _fail(str(e), USAGE_ERROR)
     dataset = synth_generate(cfg)
     try:

@@ -1,4 +1,4 @@
-"""Run configuration: one flat plain-text format over every tunable.
+"""Run configuration: every config dataclass and one flat plain-text format over every tunable.
 
 Config files hold ``section.key = value`` lines (``#`` comments, blank lines
 ignored); values parse by the field's default type, tuples as comma-separated
@@ -7,83 +7,173 @@ integers. Defaults reproduce the published hyperparameters (loss weights
 non-object class weight 0.1, 25 queries, schedule drop factor 10). Unknown
 keys are rejected, and a dump of the effective config re-parses to an
 identical RunConfig.
+
+Each numeric field declares its admissible interval, e.g. ``[0, 1)``, beside it;
+one checker enforces them all (every tuple element too) when a config is built,
+and an open end at ``inf`` keeps floats finite. Rules tying fields together stay hand-written.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-
-from .data import SynthConfig
-from .loss import LossWeights
-from .model import ModelConfig
+from dataclasses import dataclass, field, fields, replace
 
 
 class ConfigError(ValueError):
     pass
 
 
+class BadDModel(ConfigError):
+    pass
+
+
+def _ranged(default, interval: str, nonempty: bool = False):
+    """A field whose value, or each element of a tuple value, must lie in interval, e.g. "[0, 1)"."""
+    return field(default=default, metadata={"range": interval, "nonempty": nonempty})
+
+
+def _check(obj, section: str) -> None:
+    """Raise ConfigError naming section.key for the first field of obj outside its declared range."""
+    for f in (f for f in fields(obj) if "range" in f.metadata):
+        interval, value = f.metadata["range"], getattr(obj, f.name)
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if f.metadata["nonempty"] and value == ():
+            raise ConfigError(f"{section}.{f.name} needs at least one entry")
+        for x in value if isinstance(value, tuple) else (value,):
+            # each comparison holds for the values accepted, so NaN fails it
+            if not ((lo < x if interval[0] == "(" else lo <= x) and (x < hi if interval[-1] == ")" else x <= hi)):
+                what = f"{section}.{f.name}" + (" entries" if isinstance(value, tuple) else "")
+                raise ConfigError(f"{what} must be in {interval}, got {value!r}")
+
+
 @dataclass(frozen=True)
-class OptimConfig:
-    lr_transformer: float = 1e-4
-    lr_backbone: float = 1e-5
-    weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 0.1  # 0 disables clipping
+class ModelConfig:
+    d_model: int = _ranged(64, "[4, inf)")
+    enc_layers: int = _ranged(2, "[0, inf)")
+    dec_layers: int = _ranged(2, "[1, inf)")
+    heads: int = _ranged(4, "[1, inf)")
+    num_queries: int = _ranged(25, "[1, inf)")
+    num_keypoints: int = _ranged(5, "[1, inf)")
+    image_channels: int = _ranged(3, "[1, inf)")
+    backbone_channels: tuple[int, ...] = _ranged((16, 32, 64), "[1, inf)", nonempty=True)
+    backbone_strides: tuple[int, ...] = _ranged((2, 2, 2), "[1, inf)", nonempty=True)
+    ffn_hidden: int = _ranged(128, "[1, inf)")
+    dropout: float = _ranged(0.1, "[0, 1)")
 
     def __post_init__(self):
-        # each check holds for the values accepted, so NaN fails it
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-        for key in ("lr_transformer", "lr_backbone", "weight_decay", "clip_norm"):
-            if not 0.0 <= getattr(self, key) < math.inf:
-                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        object.__setattr__(self, "backbone_channels", tuple(self.backbone_channels))
+        object.__setattr__(self, "backbone_strides", tuple(self.backbone_strides))
+        _check(self, "model")
+        if self.d_model % self.heads != 0:
+            raise ConfigError(f"model.d_model {self.d_model} not divisible by model.heads {self.heads}")
+        if self.d_model % 4 != 0:
+            raise BadDModel(f"model.d_model must be divisible by 4 for the 2D positional encoding, got {self.d_model}")
+        if len(self.backbone_channels) != len(self.backbone_strides):
+            raise ConfigError("model.backbone_channels and model.backbone_strides must have equal length")
+
+    @property
+    def total_stride(self) -> int:
+        return math.prod(self.backbone_strides)
+
+    @staticmethod
+    def paper_scale() -> "ModelConfig":
+        return ModelConfig(
+            d_model=256,
+            enc_layers=6,
+            dec_layers=6,
+            heads=8,
+            num_queries=25,
+            num_keypoints=17,
+            backbone_channels=(32, 64, 128, 256, 256),
+            backbone_strides=(2, 2, 2, 2, 2),
+            ffn_hidden=512,
+        )
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    lambda_l1: float = _ranged(4.0, "[0, inf)")
+    lambda_l2: float = _ranged(0.2, "[0, inf)")
+    lambda_ctr: float = _ranged(0.5, "[0, inf)")
+    nonobject_class_weight: float = _ranged(0.1, "[0, inf)")
+
+    def __post_init__(self):
+        _check(self, "loss")
+
+
+@dataclass(frozen=True)
+class OptimConfig:
+    lr_transformer: float = _ranged(1e-4, "[0, inf)")
+    lr_backbone: float = _ranged(1e-5, "[0, inf)")
+    weight_decay: float = _ranged(1e-4, "[0, inf)")
+    beta1: float = _ranged(0.9, "[0, 1)")
+    beta2: float = _ranged(0.999, "[0, 1)")
+    eps: float = _ranged(1e-8, "(0, inf)")
+    clip_norm: float = _ranged(0.1, "[0, inf)")  # 0 disables clipping
+
+    def __post_init__(self):
+        _check(self, "optim")
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    epochs: int = 300
-    drop_epochs: tuple[int, ...] = (200, 250)
-    drop_factor: float = 10.0
+    epochs: int = _ranged(300, "[1, inf)")
+    drop_epochs: tuple[int, ...] = _ranged((200, 250), "[1, inf)")
+    drop_factor: float = _ranged(10.0, "(0, inf)")
 
     def __post_init__(self):
         object.__setattr__(self, "drop_epochs", tuple(self.drop_epochs))
+        _check(self, "schedule")
         if any(b <= a for a, b in zip(self.drop_epochs, self.drop_epochs[1:])):
-            raise ConfigError(f"drop_epochs must be strictly increasing, got {self.drop_epochs}")
+            raise ConfigError(f"schedule.drop_epochs must be strictly increasing, got {self.drop_epochs}")
         if self.drop_epochs and self.drop_epochs[-1] >= self.epochs:
-            raise ConfigError(f"drop_epochs {self.drop_epochs} must stay below total epochs {self.epochs}")
-        if self.drop_factor <= 0:
-            raise ConfigError("drop_factor must be positive")
+            raise ConfigError(f"schedule.drop_epochs {self.drop_epochs} must stay below total epochs {self.epochs}")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    num_samples: int = _ranged(2000, "[1, inf)")
+    image_size: int = _ranged(64, "[12, inf)")  # the margin rule needs 12 px at the smallest template and blob
+    num_keypoints: int = _ranged(5, "[1, inf)")
+    min_instances: int = _ranged(1, "[1, inf)")
+    max_instances: int = _ranged(3, "[1, inf)")
+    occlusion: float = _ranged(0.2, "[0, 1]")
+    blob_radius: float = _ranged(3.0, "[1, inf)")
+    template_scale: float = _ranged(0.18, "[0.05, 0.45]")  # keypoint ring radius as a fraction of image size
+    channels: int = _ranged(3, "[1, inf)")
+    seed: int = _ranged(0, "[0, inf)")
+
+    def __post_init__(self):
+        _check(self, "synth")
+        if self.min_instances > self.max_instances:
+            raise ConfigError(f"synth.min_instances {self.min_instances} exceeds synth.max_instances {self.max_instances}")
+        if self.image_size - self.margin < self.margin:
+            raise ConfigError(f"a {self.image_size}px image cannot hold an instance {self.margin:g}px from every border")
+
+    @property
+    def margin(self) -> float:
+        """Smallest distance of an instance's base point from the image border, in pixels."""
+        return self.template_scale * float(self.image_size) + self.blob_radius + 4.0
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 16
-    checkpoint_every: int = 50
-    eval_every: int = 1  # 0 disables during-training evaluation
+    batch_size: int = _ranged(16, "[1, inf)")
+    checkpoint_every: int = _ranged(50, "[0, inf)")  # 0 writes only the final checkpoint
+    eval_every: int = _ranged(1, "[0, inf)")  # 0 disables during-training evaluation
     dataset: str = "synth"  # "synth" or a dataset-cache path
     val_dataset: str = "synth"  # "synth", "none", or a dataset-cache path
-    val_samples: int = 200
-    score_threshold: float = 0.5
-    top_k: int = 0  # 0 keeps the score-threshold rule
+    val_samples: int = _ranged(200, "[1, inf)")
+    score_threshold: float = _ranged(0.5, "[0, 1]")
+    top_k: int = _ranged(0, "[0, inf)")  # 0 keeps the score-threshold rule
 
     def __post_init__(self):
-        if not self.batch_size >= 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.val_samples < 1:
-            raise ConfigError(f"val_samples must be >= 1, got {self.val_samples}")
-        if self.top_k < 0:
-            raise ConfigError(f"top_k must be >= 0 (0 keeps the score-threshold rule), got {self.top_k}")
+        _check(self, "train")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
+    seed: int = _ranged(0, "[0, inf)")
     model: ModelConfig = ModelConfig()
     loss: LossWeights = LossWeights()
     optim: OptimConfig = OptimConfig()
@@ -91,30 +181,22 @@ class RunConfig:
     synth: SynthConfig = SynthConfig()
     train: TrainConfig = TrainConfig()
 
+    def __post_init__(self):
+        _check(self, "run")
+
 
 _SECTIONS = ("model", "loss", "optim", "schedule", "synth", "train")
+_EXPECTED = {int: "an integer", float: "a number", tuple: "comma-separated integers"}
 
 
 def _parse_value(raw: str, default, key: str):
-    raw = raw.strip()
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from e
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from e
-    if isinstance(default, tuple):
-        if raw == "":
-            return ()
-        try:
-            return tuple(int(part) for part in raw.split(","))
-        except ValueError as e:
-            raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from e
-    return raw
+    raw, kind = raw.strip(), type(default)
+    try:
+        if kind is tuple:
+            return tuple(int(part) for part in raw.split(",")) if raw else ()
+        return kind(raw)
+    except ValueError as e:
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from e
 
 
 def _collect(lines, where: str) -> dict[str, dict[str, str]]:
@@ -139,27 +221,22 @@ def _collect(lines, where: str) -> dict[str, dict[str, str]]:
 
 def _apply(run: RunConfig, pending: dict[str, dict[str, str]], where: str) -> RunConfig:
     updates = {}
-    for section, entries in pending.items():
-        if not entries:
-            continue
-        if section == "run":
-            unknown = set(entries) - {"seed"}
-            if unknown:
-                raise ConfigError(f"{where}: unknown key run.{unknown.pop()}")
-            updates["seed"] = _parse_value(entries["seed"], run.seed, "run.seed")
-            continue
-        current = getattr(run, section)
-        known = {f.name: getattr(current, f.name) for f in fields(current)}
-        kwargs = {}
-        for field_name, raw in entries.items():
-            if field_name not in known:
-                raise ConfigError(f"{where}: unknown key {section}.{field_name}")
-            kwargs[field_name] = _parse_value(raw, known[field_name], f"{section}.{field_name}")
-        try:
-            updates[section] = replace(current, **kwargs)
-        except (ValueError, ConfigError) as e:
-            raise ConfigError(f"{where}: invalid {section} config: {e}") from e
-    return replace(run, **updates) if updates else run
+    try:
+        for section, entries in pending.items():
+            current = run if section == "run" else getattr(run, section)
+            known = {f.name: getattr(current, f.name) for f in fields(current) if f.name not in _SECTIONS}
+            kwargs = {}
+            for field_name, raw in entries.items():
+                if field_name not in known:
+                    raise ConfigError(f"unknown key {section}.{field_name}")
+                kwargs[field_name] = _parse_value(raw, known[field_name], f"{section}.{field_name}")
+            if section == "run":
+                updates.update(kwargs)
+            elif kwargs:
+                updates[section] = replace(current, **kwargs)
+        return replace(run, **updates) if updates else run
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def parse_config(text: str, base: RunConfig | None = None, where: str = "<config>") -> RunConfig:
@@ -201,5 +278,3 @@ def validate_for_training(run: RunConfig) -> None:
             f"synth.max_instances = {run.synth.max_instances} exceeds the model's "
             f"{run.model.num_queries} prediction slots; every instance needs a slot"
         )
-    if run.schedule.epochs < 1:
-        raise ConfigError("schedule.epochs must be >= 1")

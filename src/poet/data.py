@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import checkpoint
+from .config import SynthConfig
 from .pose import InstanceAnnotation, Keypoint, TargetSet, encode_targets
 
 log = logging.getLogger("poet.data")
@@ -29,41 +30,6 @@ class ParseError(ValueError):
 
 class MissingField(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    num_samples: int = 2000
-    image_size: int = 64
-    num_keypoints: int = 5
-    min_instances: int = 1
-    max_instances: int = 3
-    occlusion: float = 0.2
-    blob_radius: float = 3.0
-    template_scale: float = 0.18  # keypoint ring radius as a fraction of image size
-    channels: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_samples < 1 or self.image_size < 8:
-            raise ValueError("need at least one sample and an 8px image")
-        if self.num_keypoints < 1 or self.channels < 1:
-            raise ValueError(f"need at least one keypoint and one channel, got {self.num_keypoints} and {self.channels}")
-        if not 1 <= self.min_instances <= self.max_instances:
-            raise ValueError(f"bad instance range [{self.min_instances}, {self.max_instances}]")
-        if not 0.0 <= self.occlusion <= 1.0:
-            raise ValueError(f"occlusion must be in [0, 1], got {self.occlusion}")
-        if self.blob_radius < 1.0:
-            raise ValueError("blob radius must be >= 1")
-        if not 0.05 <= self.template_scale <= 0.45:
-            raise ValueError(f"template_scale must be in [0.05, 0.45], got {self.template_scale}")
-        if self.image_size - self.margin < self.margin:
-            raise ValueError(f"a {self.image_size}px image cannot hold an instance {self.margin:g}px from every border")
-
-    @property
-    def margin(self) -> float:
-        """Smallest distance of an instance's base point from the image border, in pixels."""
-        return self.template_scale * float(self.image_size) + self.blob_radius + 4.0
 
 
 @dataclass(frozen=True)

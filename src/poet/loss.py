@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import LossWeights
 from .pose import PoseVector, PredictionSet, TargetSet
 
 PROB_FLOOR = 1e-12  # -log(p) clamp to avoid infinities early in training
@@ -25,19 +26,6 @@ PROB_FLOOR = 1e-12  # -log(p) clamp to avoid infinities early in training
 
 class ClassMismatch(ValueError):
     """pose_loss was given a non-object target."""
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_l1: float = 4.0
-    lambda_l2: float = 0.2
-    lambda_ctr: float = 0.5
-    nonobject_class_weight: float = 0.1
-
-    def __post_init__(self):
-        for name in ("lambda_l1", "lambda_l2", "lambda_ctr", "nonobject_class_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

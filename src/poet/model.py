@@ -14,67 +14,19 @@ depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import BadDModel, ModelConfig
 from .pose import PoseClass, PoseVector, PredictionSet, PredictionSlot
 
 POS_TEMPERATURE = 10000.0
 
 
-class BadDModel(ValueError):
-    pass
-
-
 class IndivisibleInput(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 64
-    enc_layers: int = 2
-    dec_layers: int = 2
-    heads: int = 4
-    num_queries: int = 25
-    num_keypoints: int = 5
-    image_channels: int = 3
-    backbone_channels: tuple[int, ...] = (16, 32, 64)
-    backbone_strides: tuple[int, ...] = (2, 2, 2)
-    ffn_hidden: int = 128
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        object.__setattr__(self, "backbone_channels", tuple(self.backbone_channels))
-        object.__setattr__(self, "backbone_strides", tuple(self.backbone_strides))
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.d_model % 4 != 0:
-            raise BadDModel(f"d_model must be divisible by 4 for the 2D positional encoding, got {self.d_model}")
-        if len(self.backbone_channels) != len(self.backbone_strides):
-            raise ValueError("backbone_channels and backbone_strides must have equal length")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def total_stride(self) -> int:
-        return int(np.prod(self.backbone_strides))
-
-    @staticmethod
-    def paper_scale() -> "ModelConfig":
-        return ModelConfig(
-            d_model=256,
-            enc_layers=6,
-            dec_layers=6,
-            heads=8,
-            num_queries=25,
-            num_keypoints=17,
-            backbone_channels=(32, 64, 128, 256, 256),
-            backbone_strides=(2, 2, 2, 2, 2),
-            ffn_hidden=512,
-        )
 
 
 def desk_config(**overrides) -> ModelConfig:

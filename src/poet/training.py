@@ -443,6 +443,18 @@ def check_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
 # full run
 
 
+def check_dataset(dataset: Dataset, cfg: ModelConfig, role: str) -> None:
+    """Raise ConfigError, naming both values, where the dataset's keypoints, channels or image size do not fit the model."""
+    held = next((s.image.shape[0] for s in dataset.samples if s.image is not None), cfg.image_channels)
+    channels = dataset.render.channels if dataset.render else held
+    for what, have, want in (("keypoints", dataset.num_keypoints, cfg.num_keypoints), ("image channels", channels, cfg.image_channels)):
+        if have != want:
+            raise ConfigError(f"the {role} set has {have} {what} but the model expects {want}")
+    if any(int(side) % cfg.total_stride for side in dataset.image_size):
+        size = "x".join(f"{side:g}" for side in dataset.image_size)
+        raise ConfigError(f"the {role} set's {size} images are not divisible by the model's total stride {cfg.total_stride}")
+
+
 def resolve_dataset(spec: str, run: RunConfig, role: str) -> Dataset | None:
     if spec == "none":
         return None
@@ -498,12 +510,14 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
 
     train_ds = resolve_dataset(run.train.dataset, run, "train")
     if train_ds is None:
-        raise ValueError("training needs a dataset (train.dataset must not be 'none')")
+        raise ConfigError("training needs a dataset (train.dataset must not be 'none')")
+    check_dataset(train_ds, run.model, "training")
     train_ds, dropped_empty, dropped_overfull = filter_for_training(train_ds, run.model.num_queries)
     if len(train_ds) == 0:
-        raise ValueError("no trainable samples after filtering")
+        raise ConfigError("no trainable samples after filtering")
     val_ds = resolve_dataset(run.train.val_dataset, run, "val")
     if val_ds is not None and run.train.eval_every > 0:
+        check_dataset(val_ds, run.model, "validation")
         # the validation loss pads each image's people to the slot count
         most = max((sum(a.num_visible > 0 for a in s.annotations) for s in val_ds.samples), default=0)
         if most > run.model.num_queries:

@@ -314,40 +314,58 @@ def test_malformed_eval_predictions_exit_2_without_traceback(tiny_cfg_path, tmp_
 OUT_OF_RANGE = {
     # name: (arguments, run next to tiny.cfg and the VAL_IMAGES-line t.jsonl and p.jsonl; expected in the error)
     **{
-        f"match-lambda-{term}": (["match", "t.jsonl", "p.jsonl", f"--lambda-{term}", "-1"], f"lambda_{term} must be >= 0")
+        f"match-lambda-{term}": (["match", "t.jsonl", "p.jsonl", f"--lambda-{term}", "-1"], f"loss.lambda_{term} must be in [0, inf)")
         for term in ("l1", "l2", "ctr")
     },
     **{
         f"eval-oks-k-{k}": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--oks-k", k], "--oks-k must be > 0")
-        for k in ("0", "-1")
+        for k in ("0", "-1", "inf", "nan")
     },
-    "eval-top-k-negative": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--top-k", "-2"], "top_k must be >= 0"),
-    "train-top-k-negative": (["train", "--config", "tiny.cfg", "--set", "train.top_k=-2", "--out-dir", "out"], "top_k must be >= 0"),
-    "train-val-samples-0": (["train", "--config", "tiny.cfg", "--set", "train.val_samples=0", "--out-dir", "out"], "val_samples must be >= 1"),
-    "synth-keypoints-0": (["synth", "--keypoints", "0", "--samples", "2", "--out", "s.bin"], "at least one keypoint"),
-    "synth-channels-0": (["synth", "--channels", "0", "--samples", "2", "--out", "s.bin"], "one channel"),
+    "eval-top-k-negative": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--top-k", "-2"], "train.top_k must be in [0, inf)"),
+    "train-top-k-negative": (["train", "--config", "tiny.cfg", "--set", "train.top_k=-2", "--out-dir", "out"], "train.top_k must be in [0, inf)"),
+    "train-val-samples-0": (["train", "--config", "tiny.cfg", "--set", "train.val_samples=0", "--out-dir", "out"], "train.val_samples must be in [1, inf)"),
+    "synth-keypoints-0": (["synth", "--keypoints", "0", "--samples", "2", "--out", "s.bin"], "synth.num_keypoints must be in [1, inf)"),
+    "synth-channels-0": (["synth", "--channels", "0", "--samples", "2", "--out", "s.bin"], "synth.channels must be in [1, inf)"),
     "synth-image-size-16": (["synth", "--image-size", "16", "--samples", "2", "--out", "s.bin"], "cannot hold an instance"),
     **{
         f"gradcheck-cases-{n}": (["gradcheck", "--component", "loss", "--cases", n], "--cases must be >= 1")
         for n in ("0", "-1")
     },
-    "train-batch-size-0": (["train", "--config", "tiny.cfg", "--set", "train.batch_size=0", "--out-dir", "out"], "batch_size must be >= 1"),
+    "train-batch-size-0": (["train", "--config", "tiny.cfg", "--set", "train.batch_size=0", "--out-dir", "out"], "train.batch_size must be in [1, inf)"),
     **{
         f"train-optim-{key}-{value}": (
             ["train", "--config", "tiny.cfg", "--set", f"optim.{key}={value}", "--out-dir", "out"],
-            f"{key} must be {rule}",
+            f"optim.{key} must be in {interval}",
         )
-        for key, values, rule in (
-            ("beta1", ("1", "1.5", "-0.1", "nan"), "in [0, 1)"),
-            ("beta2", ("1", "nan"), "in [0, 1)"),
-            ("eps", ("0", "-1e-8", "inf", "nan"), "finite and > 0"),
-            ("lr_transformer", ("-1e-4", "inf", "nan"), "finite and >= 0"),
-            ("lr_backbone", ("-1e-5", "nan"), "finite and >= 0"),
-            ("weight_decay", ("-1e-4", "nan"), "finite and >= 0"),
-            ("clip_norm", ("-1", "inf", "nan"), "finite and >= 0"),
+        for key, values, interval in (
+            ("beta1", ("1", "1.5", "-0.1", "nan"), "[0, 1)"),
+            ("beta2", ("1", "nan"), "[0, 1)"),
+            ("eps", ("0", "-1e-8", "inf", "nan"), "(0, inf)"),
+            ("lr_transformer", ("-1e-4", "inf", "nan"), "[0, inf)"),
+            ("lr_backbone", ("-1e-5", "nan"), "[0, inf)"),
+            ("weight_decay", ("-1e-4", "nan"), "[0, inf)"),
+            ("clip_norm", ("-1", "inf", "nan"), "[0, inf)"),
         )
         for value in values
     },
+    # one key of each section, and the synth, match, eval and gradcheck flags that set one
+    "run-seed": (["train", "--config", "tiny.cfg", "--set", "run.seed=-1", "--out-dir", "out"], "run.seed must be in [0, inf)"),
+    "model-heads": (["train", "--config", "tiny.cfg", "--set", "model.heads=0", "--out-dir", "out"], "model.heads must be in [1, inf)"),
+    "loss-lambda-ctr": (["train", "--config", "tiny.cfg", "--set", "loss.lambda_ctr=inf", "--out-dir", "out"], "loss.lambda_ctr must be in [0, inf)"),
+    "schedule-drop-factor": (["train", "--config", "tiny.cfg", "--set", "schedule.drop_factor=nan", "--out-dir", "out"], "schedule.drop_factor must be in (0, inf)"),
+    "synth-seed": (["train", "--config", "tiny.cfg", "--set", "synth.seed=-1", "--out-dir", "out"], "synth.seed must be in [0, inf)"),
+    "train-eval-every": (["train", "--config", "tiny.cfg", "--set", "train.eval_every=-1", "--out-dir", "out"], "train.eval_every must be in [0, inf)"),
+    "synth-flag-seed": (["synth", "--seed", "-1", "--samples", "2", "--out", "s.bin"], "synth.seed must be in [0, inf)"),
+    "match-flag-lambda-nan": (["match", "t.jsonl", "p.jsonl", "--lambda-l1", "nan"], "loss.lambda_l1 must be in [0, inf)"),
+    "eval-flag-score-threshold": (["eval", "--config", "tiny.cfg", "--predictions", "p.jsonl", "--score-threshold", "nan"], "train.score_threshold must be in [0, 1]"),
+    "gradcheck-seed": (["gradcheck", "--component", "loss", "--seed", "-1"], "--seed must be >= 0"),
+    # datasets that do not fit the model, and runs with nothing to train on, before epoch 1
+    "train-model-keypoints": (["train", "--config", "tiny.cfg", "--set", "model.num_keypoints=6", "--out-dir", "out"], "the training set has 2 keypoints but the model expects 6"),
+    "train-model-channels": (["train", "--config", "tiny.cfg", "--set", "model.image_channels=1", "--out-dir", "out"], "the training set has 3 image channels but the model expects 1"),
+    "train-synth-channels": (["train", "--config", "tiny.cfg", "--set", "synth.channels=1", "--out-dir", "out"], "the training set has 1 image channels but the model expects 3"),
+    "train-synth-image-size": (["train", "--config", "tiny.cfg", "--set", "synth.image_size=30", "--out-dir", "out"], "30x30 images are not divisible by the model's total stride 4"),
+    "train-dataset-none": (["train", "--config", "tiny.cfg", "--set", "train.dataset=none", "--out-dir", "out"], "train.dataset must not be 'none'"),
+    "train-nothing-visible": (["train", "--config", "tiny.cfg", "--set", "synth.occlusion=1", "--out-dir", "out"], "no trainable samples"),
 }
 
 
@@ -357,6 +375,13 @@ def test_out_of_range_numbers_exit_2_without_traceback(tiny_cfg_path, tmp_path, 
     (tmp_path / "t.jsonl").write_text((json.dumps({"targets": GOOD_TARGETS}) + "\n") * VAL_IMAGES)
     (tmp_path / "p.jsonl").write_text((json.dumps({"preds": GOOD_PREDS}) + "\n") * VAL_IMAGES)
     assert_usage_error(argv, tmp_path, where)
+    assert not (tmp_path / "out" / "losses.csv").exists()
+
+
+def test_eval_dataset_that_does_not_fit_the_model_exit_2(tiny_cfg_path, tmp_path, capsys):
+    ckpt = _init_checkpoint(tiny_cfg_path, tmp_path)
+    assert main(["eval", "--checkpoint", ckpt, "--set", "synth.channels=1"]) == 2
+    assert "the evaluation set has 1 image channels but the model expects 3" in capsys.readouterr().err
 
 
 def test_edge_values_of_the_checked_numbers_are_accepted(tiny_cfg_path, tmp_path):
