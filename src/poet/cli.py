@@ -50,7 +50,6 @@ def _load_run_config(config_path, overrides, seed):
 
 def cmd_train(args) -> int:
     from .config import ConfigError, dump_config
-    from .data import ParseError
 
     try:
         run = _load_run_config(args.config, args.set, args.seed)
@@ -58,6 +57,7 @@ def cmd_train(args) -> int:
         return _fail(str(e), USAGE_ERROR)
 
     from . import training
+    from .data import ParseError
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +251,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     from .config import ConfigError, SynthConfig
-    from .data import save_dataset_cache, synth_generate
 
     try:
         cfg = SynthConfig(
@@ -267,6 +266,8 @@ def cmd_synth(args) -> int:
         )
     except ConfigError as e:
         return _fail(str(e), USAGE_ERROR)
+    from .data import save_dataset_cache, synth_generate
+
     dataset = synth_generate(cfg)
     try:
         save_dataset_cache(dataset, args.out, cfg)

@@ -290,7 +290,7 @@ def assert_usage_error(argv, cwd, where):
     import poet
 
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, cwd=cwd, env=env)
+    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
     assert where in out.stderr
@@ -393,7 +393,7 @@ def test_edge_values_of_the_checked_numbers_are_accepted(tiny_cfg_path, tmp_path
     for edge in edges:
         argv += ["--set", edge]
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     effective = (tmp_path / "out" / "effective.cfg").read_text()
     assert all(f"{edge.split('=')[0]} = " in effective for edge in edges)
@@ -644,7 +644,7 @@ def test_import_cli_does_not_load_numpy():
 
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
     code = "import sys, poet.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 

@@ -246,5 +246,5 @@ def test_config_module_imports_neither_numpy_nor_another_poet_module():
 
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
     code = "import sys, poet.config; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('poet.')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env)
     assert out.stdout.strip() == "['poet.config']"

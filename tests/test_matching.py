@@ -331,5 +331,5 @@ def test_total_cost_matches_scipy(n):
 def test_matching_never_imports_scipy():
     code = "import sys, poet.matching, poet.training, poet.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(matching.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env)
     assert out.stdout.strip() == "False"
