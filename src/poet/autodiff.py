@@ -469,8 +469,18 @@ class Gradients:
     __getitem__ = wrt
 
 
-def backward(loss: Tensor) -> Gradients:
-    """Accumulate d(loss)/d(node) for every tape node, in one reverse sweep."""
+def _accumulate(acc: list, iid: int, vjp: Callable, g: np.ndarray) -> None:
+    gi = vjp(g)
+    acc[iid] = gi if acc[iid] is None else acc[iid] + gi
+
+
+def backward(loss: Tensor, lane=None) -> Gradients:
+    """Accumulate d(loss)/d(node) for every tape node, in one reverse sweep.
+
+    With a lane (an executor of one worker thread), each VJP into a tape leaf runs there with its
+    addition into the leaf's gradient, which nothing later in the sweep reads. The one worker adds
+    them in the order the sweep submits them, so the gradients are the same bit for bit.
+    """
     if loss.tape is None:
         raise NotRecorded("loss tensor is not recorded on a tape")
     if loss.size != 1:
@@ -486,6 +496,7 @@ def backward(loss: Tensor) -> Gradients:
     nodes = tape.nodes
     acc: list = [None] * len(nodes)
     acc[loss.node_id] = np.ones_like(loss.data)
+    on_lane = []
     for nid in range(loss.node_id, -1, -1):
         node, nodes[nid] = nodes[nid], _SPENT
         g = acc[nid]
@@ -494,9 +505,13 @@ def backward(loss: Tensor) -> Gradients:
         for iid, vjp in zip(node.input_ids, node.vjps):
             if iid is None:
                 continue
-            gi = vjp(g)
-            acc[iid] = gi if acc[iid] is None else acc[iid] + gi
+            if lane is not None and not nodes[iid].input_ids:  # a leaf: it has no inputs
+                on_lane.append(lane.submit(_accumulate, acc, iid, vjp, g))
+            else:
+                _accumulate(acc, iid, vjp, g)
     nodes[loss.node_id + 1 :] = [_SPENT] * (len(nodes) - loss.node_id - 1)
+    for done in on_lane:
+        done.result()
     return Gradients(acc)
 
 

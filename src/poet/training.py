@@ -59,21 +59,41 @@ def _decayed(name: str) -> bool:
     return not (name.endswith("bias") or name.endswith("gain"))
 
 
+def _by_halves(sweep, arrays: dict, lane) -> list:
+    """[sweep(names)] over the names of arrays; with a lane, one call per contiguous half by element count.
+
+    The lane runs the second half while this thread runs the first, and is done with it when this returns or raises.
+    """
+    names = list(arrays)
+    if lane is None:
+        return [sweep(names)]
+    bounds = np.cumsum([0] + [arrays[name].size for name in names])
+    cut = int(np.argmin(np.abs(2 * bounds - bounds[-1])))
+    second = lane.submit(sweep, names[cut:])
+    try:
+        first = sweep(names[:cut])
+    finally:
+        second.exception()  # waits for it, whatever became of this half
+    return [first, second.result()]
+
+
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimState,
     lr_transformer: float | None = None,
     lr_backbone: float | None = None,
+    scale: float = 1.0,
+    lane=None,
 ) -> dict[str, np.ndarray]:
-    """In-place AdamW update with bias correction and decoupled weight decay.
+    """In-place AdamW update by the gradients times scale, with bias correction and decoupled weight decay.
 
     Weight decay multiplies into the pre-update parameter and skips biases and
     norm gains; parameters named backbone.* use the backbone learning rate.
-    The intermediates are written into two scratch arrays sized to the largest
-    parameter, with the operations and their order of the plain expression
-    ``lr * (m / b1c) / (sqrt(v / b2c) + eps) + lr * wd * p``, so the results
-    are the same bit for bit.
+    The intermediates are written into two scratch arrays per half (see
+    _by_halves), with the operations and their order of ``g * scale`` (none
+    when scale is 1) and then ``lr * (m / b1c) / (sqrt(v / b2c) + eps) + lr * wd * p``,
+    so the results are the same bit for bit.
     """
     cfg = state.config
     lr_t = cfg.lr_transformer if lr_transformer is None else lr_transformer
@@ -81,47 +101,57 @@ def adamw_step(
     state.step += 1
     b1c = 1.0 - cfg.beta1**state.step
     b2c = 1.0 - cfg.beta2**state.step
-    largest = max((p.size for p in params.values()), default=0)
-    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ad.ShapeMismatch(f"{name}: gradient shape {g.shape} vs parameter shape {p.shape}")
-        a = scratch_a[: p.size].reshape(p.shape)
-        b = scratch_b[: p.size].reshape(p.shape)
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=a)
-        v *= cfg.beta2
-        v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=a), out=a)
-        lr = lr_b if name.startswith("backbone.") else lr_t
-        update = np.multiply(lr, np.divide(m, b1c, out=a), out=a)
-        update /= np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), cfg.eps, out=b)
-        if cfg.weight_decay and _decayed(name):
-            update += np.multiply(lr * cfg.weight_decay, p, out=b)
-        p -= update
+
+    def sweep(names):
+        largest = max((params[name].size for name in names), default=0)
+        scratch_a, scratch_b = np.empty(largest), np.empty(largest)
+        for name in names:
+            p, g = params[name], grads[name]
+            if g.shape != p.shape:
+                raise ad.ShapeMismatch(f"{name}: gradient shape {g.shape} vs parameter shape {p.shape}")
+            a = scratch_a[: p.size].reshape(p.shape)
+            b = scratch_b[: p.size].reshape(p.shape)
+            if scale != 1.0:
+                g = np.multiply(g, scale, out=b)  # b is next written after the last read of g
+            m = state.m[name]
+            v = state.v[name]
+            m *= cfg.beta1
+            m += np.multiply(1.0 - cfg.beta1, g, out=a)
+            v *= cfg.beta2
+            v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=a), out=a)
+            lr = lr_b if name.startswith("backbone.") else lr_t
+            update = np.multiply(lr, np.divide(m, b1c, out=a), out=a)
+            update /= np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), cfg.eps, out=b)
+            if cfg.weight_decay and _decayed(name):
+                update += np.multiply(lr * cfg.weight_decay, p, out=b)
+            p -= update
+
+    _by_halves(sweep, params, lane)
     return params
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so the global L2 norm is at most max_norm; also returns the norm before clipping.
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, lane=None) -> tuple[float, float]:
+    """(scale, norm): the factor for adamw_step that brings the global L2 norm to at most max_norm, and the norm.
 
-    max_norm <= 0 leaves the gradients as they are. The squares are summed
-    from one scratch array sized to the largest gradient, the same values in
-    the same order as ``(g * g).sum()``, so the norm is the same bit for bit.
+    The scale is 1.0 when max_norm <= 0 or the norm is within it. Each
+    gradient's squares are summed from a scratch array per half (see
+    _by_halves), the same values in the same order as ``(g * g).sum()``, and
+    the sums added in order, so the norm is the same bit for bit.
     """
-    largest = max((g.size for g in grads.values()), default=0)
-    scratch = np.empty(largest)
 
-    def squares(g):  # g * g, written into the scratch array when its layout matches a fresh product's
-        return np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)) if g.flags.c_contiguous else g * g
+    def sums(names):
+        scratch = np.empty(max((grads[name].size for name in names), default=0))
+        out = []
+        for name in names:
+            g = grads[name]  # g * g, written into the scratch array when its layout matches a fresh product's
+            squares = np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)) if g.flags.c_contiguous else g * g
+            out.append(float(squares.sum()))
+        return out
 
-    total = float(np.sqrt(sum(float(squares(g).sum()) for g in grads.values())))
+    total = float(np.sqrt(sum(s for part in _by_halves(sums, grads, lane) for s in part)))
     if max_norm <= 0 or total <= max_norm:
-        return grads, total
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}, total
+        return 1.0, total
+    return max_norm / total, total
 
 
 def effective_lr(base: float, schedule: ScheduleConfig, epoch: int) -> float:
@@ -159,19 +189,51 @@ def apply_gradients(
     clip_norm: float,
     lr_transformer: float | None = None,
     lr_backbone: float | None = None,
+    lane=None,
 ) -> float:
     """Clip and apply one AdamW step; returns the gradient norm before clipping.
 
     A non-finite loss or gradient norm raises TrainBatchError before anything
     is updated, naming the first parameter whose gradient is not finite.
     """
-    clipped, norm = clip_gradients(grads, clip_norm)
+    scale, norm = clip_gradients(grads, clip_norm, lane=lane)
     if not (np.isfinite(loss) and np.isfinite(norm)):
         bad = next((name for name, g in grads.items() if not np.all(np.isfinite(g))), None)
         where = f"gradient of {bad}" if bad is not None else "loss"
         raise TrainBatchError(f"non-finite {where} (loss {loss!r}, gradient norm {norm!r}); parameters left unchanged")
-    adamw_step(params, clipped, optim, lr_transformer=lr_transformer, lr_backbone=lr_backbone)
+    adamw_step(params, grads, optim, lr_transformer=lr_transformer, lr_backbone=lr_backbone, scale=scale, lane=lane)
     return norm
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
+
+
+def _free_cores() -> int:
+    """Usable cores over the BLAS threads numpy was started with (every core when unset), at least 1.
+
+    That many processes or threads can call BLAS at once: callers whose threads outnumber the cores run several times slower.
+    """
+    cores = len(os.sched_getaffinity(0))
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREADS) if v and v.isdigit() and int(v) > 0), cores)
+    return max(1, cores // blas)
+
+
+def _train_step(
+    params: dict[str, np.ndarray], optim: OptimState, batch: Batch, run: RunConfig, rng, lr_t: float, lr_b: float, lane
+) -> LossBreakdown:
+    """Forward, matching, loss, backward and update on one batch; its tape and gradients go when it returns."""
+    tape = ad.Tape()
+    watched = model.watch_params(tape, params)
+    outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=rng)
+    nodes_before = len(tape)
+    assignments = _batch_assignments(batch, outputs, run.loss)
+    if len(tape) != nodes_before:
+        raise RuntimeError("matching must not record tape nodes")
+    total, breakdown = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
+    grads = ad.backward(total, lane=lane)
+    grad_arrays = {name: grads.wrt(t) for name, t in watched.items()}
+    apply_gradients(params, grad_arrays, optim, float(total.data), run.optim.clip_norm, lr_t, lr_b, lane=lane)
+    return breakdown
 
 
 def train_epoch(
@@ -181,30 +243,30 @@ def train_epoch(
     run: RunConfig,
     epoch: int,
 ) -> LossBreakdown:
-    """One pass over the dataset; returns the mean per-batch loss breakdown."""
-    cfg = run.model
+    """One pass over the dataset; returns the mean per-batch loss breakdown.
+
+    When _free_cores leaves a second caller of BLAS room, the VJPs into the parameters and half of the
+    optimizer sweep run on a lane thread, which numpy's release of the GIL lets use another core. The
+    results are the same bit for bit; the thread is gone when this returns or raises.
+    """
     dropout_rng = np.random.default_rng([run.seed, _DROPOUT_STREAM, epoch])
     lr_t = effective_lr(run.optim.lr_transformer, run.schedule, epoch)
     lr_b = effective_lr(run.optim.lr_backbone, run.schedule, epoch)
     breakdowns = []
-    for bi, batch in enumerate(batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], cfg.num_queries)):
-        try:
-            tape = ad.Tape()
-            watched = model.watch_params(tape, params)
-            outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, cfg, train=True, rng=dropout_rng)
-            nodes_before = len(tape)
-            assignments = _batch_assignments(batch, outputs, run.loss)
-            if len(tape) != nodes_before:
-                raise RuntimeError("matching must not record tape nodes")
-            total, breakdown = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
-            grads = ad.backward(total)
-            grad_arrays = {name: grads.wrt(t) for name, t in watched.items()}
-            apply_gradients(
-                params, grad_arrays, optim, float(total.data), run.optim.clip_norm, lr_transformer=lr_t, lr_backbone=lr_b
-            )
-        except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
-            raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
-        breakdowns.append(breakdown)
+    lane = None
+    if _free_cores() > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only here: a run without a lane does without it
+
+        lane = ThreadPoolExecutor(1, thread_name_prefix="poet-lane")
+    try:
+        for bi, batch in enumerate(batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries)):
+            try:
+                breakdowns.append(_train_step(params, optim, batch, run, dropout_rng, lr_t, lr_b, lane))
+            except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
+                raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
+    finally:
+        if lane is not None:
+            lane.shutdown(cancel_futures=True)  # waits for the task it is running
     if not breakdowns:
         raise TrainBatchError(f"epoch {epoch}: dataset produced no batches")
     return _mean_breakdown(breakdowns)
@@ -274,7 +336,6 @@ def _score_layers(per_layer, dataset: Dataset, oks_params: metrics.OksParams) ->
 # freed arrays of one chunk are reused by the next instead of being handed back to
 # the system and faulted in again
 EVAL_CHUNK_BYTES = 16 << 20
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
 
 
 def _images_per_forward(cfg: ModelConfig, height: int, width: int) -> int:
@@ -326,11 +387,7 @@ def evaluate(
     cparams = model.constant_params(params)
     n = len(dataset)
     chunk = _images_per_forward(cfg, *dataset.image(0).shape[1:]) if n else 1
-    cores = len(os.sched_getaffinity(0))
-    # each process runs the BLAS threads that numpy was started with, every core when unset:
-    # processes whose threads outnumber the cores run several times slower than one process
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREADS) if v and v.isdigit() and int(v) > 0), cores)
-    w = min(max(1, cores // blas), -(-n // chunk)) or 1
+    w = min(_free_cores(), -(-n // chunk)) or 1
     ranges = [range(n * i // w, n * (i + 1) // w) for i in range(w)]
     workers = []
     try:

@@ -1,6 +1,7 @@
 """Gradient and contract tests for the tape-based tensor engine."""
 
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -375,3 +376,59 @@ def test_determinism_bit_identical():
     l2, g2 = run()
     assert l1.tobytes() == l2.tobytes()
     assert g1.tobytes() == g2.tobytes()
+
+
+def _shared_leaf_graph(lane=None):
+    """One leaf read by three products and one leaf read by nothing; returns both gradients and the three factors."""
+    r = rng()
+    c2 = r.normal(size=64) * 1e16
+    c1 = r.normal(size=64) - c2
+    c3 = r.normal(size=64)
+    tape = ad.Tape()
+    x = tape.leaf(r.normal(size=64))
+    unused = tape.leaf(np.ones(5))
+    terms = [ad.mul(x, ad.Tensor(c)) for c in (c1, c2, c3)]
+    loss = ad.reduce_sum(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+    grads = ad.backward(loss, lane=lane)
+    return grads.wrt(x), grads.wrt(unused), (c1, c2, c3)
+
+
+def test_backward_on_a_lane_adds_a_shared_leafs_gradients_in_sweep_order(lane):
+    got, unused, (c1, c2, c3) = _shared_leaf_graph(lane)
+    # the sweep meets the products last-recorded first; another order gives other bits here
+    in_order, reversed_order = (c3 + c2) + c1, (c1 + c2) + c3
+    assert in_order.tobytes() != reversed_order.tobytes()
+    assert got.tobytes() == in_order.tobytes() == _shared_leaf_graph()[0].tobytes()
+    assert unused.tobytes() == np.zeros(5).tobytes()
+
+
+def _spied_products(lane=None):
+    """Gradients of a two-matmul graph and, per input node id, whether the VJPs into it ran on the main thread."""
+    r = rng()
+    tape = ad.Tape()
+    x, w = tape.leaf(r.normal(size=(6, 4))), tape.leaf(r.normal(size=(4, 3)))
+    loss = ad.reduce_sum(ad.mul(ad.sigmoid(ad.matmul(x, w)), ad.matmul(ad.Tensor(r.normal(size=(6, 4))), w)))
+    on_main = {}
+
+    def spy(vjp, iid):
+        def run(g):
+            on_main.setdefault(iid, set()).add(threading.current_thread() is threading.main_thread())
+            return vjp(g)
+
+        return run
+
+    for node in tape.nodes:
+        node.vjps = tuple(spy(vjp, iid) for iid, vjp in zip(node.input_ids, node.vjps))
+    grads = ad.backward(loss, lane=lane)
+    return [grads.wrt(t) for t in (x, w)], on_main, (x.node_id, w.node_id)
+
+
+def test_backward_on_a_lane_runs_exactly_the_leaf_vjps_there(lane):
+    got, on_main, leaves = _spied_products(lane)
+    want, plain_on_main, _ = _spied_products()
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    assert {iid: on_main[iid] for iid in leaves} == {iid: {False} for iid in leaves}
+    assert {iid: seen for iid, seen in on_main.items() if iid not in leaves} == {
+        iid: {True} for iid in plain_on_main if iid not in leaves
+    }
+    assert all(seen == {True} for seen in plain_on_main.values())

@@ -1,11 +1,13 @@
 import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poet.autodiff as ad
 from poet import model, training
-from poet.config import OptimConfig, RunConfig, ScheduleConfig, parse_config
+from poet.config import OptimConfig, RunConfig, ScheduleConfig, load_config, parse_config
 from poet.data import synth_generate
 from poet.metrics import Detection, GroundTruthInstance, select_detections
 from poet.model import desk_config
@@ -119,8 +121,17 @@ def oracle_adamw_step(params, grads, state, lr_transformer=None, lr_backbone=Non
     return params
 
 
+def oracle_clip(grads, max_norm):
+    """The copy clip_gradients used to hand to adamw_step: every gradient times max_norm / norm when the norm is over it."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    if max_norm <= 0 or norm <= max_norm:
+        return grads
+    return {name: g * (max_norm / norm) for name, g in grads.items()}
+
+
+@pytest.mark.parametrize("on_lane", [False, True])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-def test_adamw_step_equals_the_plain_loop_bit_for_bit(weight_decay):
+def test_adamw_step_equals_the_plain_loop_bit_for_bit(weight_decay, on_lane, lane):
     # both learning-rate groups, decayed weights and undecayed biases and gains, of different sizes
     rng = np.random.default_rng(11)
     shapes = {
@@ -134,17 +145,22 @@ def test_adamw_step_equals_the_plain_loop_bit_for_bit(weight_decay):
     reference = {name: p.copy() for name, p in params.items()}
     config = OptimConfig(lr_transformer=3e-3, lr_backbone=7e-4, weight_decay=weight_decay)
     state, ref_state = init_optim_state(params, config), init_optim_state(reference, config)
+    lane = lane if on_lane else None
     clip_fired = []
     for step in range(6):
         grads = {name: rng.normal(0.0, 10.0 ** rng.integers(-3, 2), p.shape) for name, p in params.items()}
-        clipped, norm = clip_gradients(grads, 1.0 if step % 2 else 0.0)
+        kept = {name: g.copy() for name, g in grads.items()}
+        max_norm = 1.0 if step % 2 else 0.0
+        scale, norm = clip_gradients(grads, max_norm, lane=lane)
+        clipped = oracle_clip(grads, max_norm)
         clip_fired.append(clipped is not grads)
+        assert (scale == 1.0) == (clipped is grads)
         lrs = {} if step < 3 else {"lr_transformer": 1e-3 / step, "lr_backbone": 2e-4 / step}
-        adamw_step(params, clipped, state, **lrs)
+        adamw_step(params, grads, state, scale=scale, lane=lane, **lrs)
         oracle_adamw_step(reference, clipped, ref_state, **lrs)
         assert state.step == ref_state.step
         for name in params:
-            for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+            for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v), (grads, kept)):
                 assert got[name].tobytes() == want[name].tobytes(), (step, name)
     assert any(clip_fired) and not all(clip_fired)
 
@@ -157,12 +173,13 @@ def test_adamw_shape_mismatch():
 
 def test_clip_gradients_global_norm():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clipped, norm = clip_gradients(grads, 0.5)
-    assert norm == 5.0
-    total = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
+    scale, norm = clip_gradients(grads, 0.5)
+    assert norm == 5.0 and scale == 0.5 / 5.0
+    total = np.sqrt(sum(float((g * scale * (g * scale)).sum()) for g in grads.values()))
     assert total == pytest.approx(0.5, rel=1e-12)
-    same, _ = clip_gradients(grads, 10.0)
-    assert same is grads
+    assert clip_gradients(grads, 10.0) == (1.0, 5.0)
+    assert clip_gradients(grads, 0.0) == (1.0, 5.0)
+    assert [g.tolist() for g in grads.values()] == [[3.0], [4.0]]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -671,15 +688,20 @@ def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
     assert training._batch_assignments(batch, outputs, run.loss) == expected
 
 
-def test_non_finite_gradient_is_rejected_before_the_update():
+@pytest.mark.parametrize("on_lane", [False, True])
+def test_non_finite_gradient_is_rejected_before_the_update(on_lane, lane):
+    # with a lane, "a" is summed and updated on this thread and "w" on the lane
     params = {"a": np.array([0.5]), "w": np.array([0.5, -0.25, 2.0])}
     state = init_optim_state(params, OptimConfig())
     before = {name: p.copy() for name, p in params.items()}
+    lane = lane if on_lane else None
     grads = {"a": np.array([0.1]), "w": np.array([1.0, np.nan, 0.0])}
     with pytest.raises(training.TrainBatchError, match="gradient of w"):
-        training.apply_gradients(params, grads, state, 1.0, 0.1)
+        training.apply_gradients(params, grads, state, 1.0, 0.1, lane=lane)
+    with pytest.raises(training.TrainBatchError, match="gradient of w"):
+        training.apply_gradients(params, grads, state, 1.0, 0.0, lane=lane)
     with pytest.raises(training.TrainBatchError, match="non-finite loss"):
-        training.apply_gradients(params, {"a": np.ones(1), "w": np.ones(3)}, state, float("nan"), 0.0)
+        training.apply_gradients(params, {"a": np.ones(1), "w": np.ones(3)}, state, float("nan"), 0.0, lane=lane)
     for name in params:
         assert params[name].tobytes() == before[name].tobytes()
         assert not state.m[name].any() and not state.v[name].any()
@@ -693,10 +715,12 @@ def test_finite_gradient_step_matches_clip_then_adamw():
     ref_state = init_optim_state(reference, OptimConfig())
     grads = {"w": np.array([1.0, -2.0, 0.5])}
     norm = training.apply_gradients(params, grads, state, 1.0, 0.1)
-    clipped, ref_norm = clip_gradients(grads, 0.1)
+    clipped = oracle_clip(grads, 0.1)
+    assert clipped is not grads
     adamw_step(reference, clipped, ref_state)
-    assert norm == ref_norm
-    assert params["w"].tobytes() == reference["w"].tobytes()
+    assert norm == float(np.sqrt((grads["w"] * grads["w"]).sum()))
+    for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+        assert got["w"].tobytes() == want["w"].tobytes()
 
 
 def _three_epoch_run():
@@ -724,3 +748,154 @@ def test_resume_in_place_keeps_logs_byte_identical(tmp_path):
     for name in ("losses.csv", "map.csv", "per_layer_map.csv"):
         assert (in_place / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
     assert not list(in_place.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# the training lane: the same numbers with a second thread as without
+
+
+def _desk_run() -> RunConfig:
+    """configs/synth_tiny.cfg with 24 samples, two epochs and an lr drop after the first."""
+    run = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "synth_tiny.cfg"))
+    return parse_config("synth.num_samples = 24\nschedule.epochs = 2\nschedule.drop_epochs = 1\n", base=run)
+
+
+PAPER_LIKE_CFG_TEXT = """
+run.seed = 7
+model.d_model = 32
+model.enc_layers = 2
+model.dec_layers = 2
+model.heads = 4
+model.num_queries = 25
+model.num_keypoints = 17
+model.image_channels = 3
+model.ffn_hidden = 64
+model.backbone_channels = 8,16,32
+model.backbone_strides = 2,2,2
+schedule.epochs = 2
+schedule.drop_epochs = 1
+train.batch_size = 4
+synth.num_samples = 8
+synth.image_size = 64
+synth.num_keypoints = 17
+synth.min_instances = 4
+synth.max_instances = 4
+synth.channels = 3
+synth.seed = 5
+"""
+
+
+def _spy_clip(monkeypatch) -> list:
+    """Record (clip factor, whether a lane was passed) of every clip_gradients call apply_gradients makes."""
+    seen = []
+    clip = training.clip_gradients
+
+    def spy(grads, max_norm, lane=None):
+        scale, norm = clip(grads, max_norm, lane=lane)
+        seen.append((scale, lane is not None))
+        return scale, norm
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    return seen
+
+
+def _two_epochs(run: RunConfig, free_cores: int, seen: list, monkeypatch):
+    """Two epochs from the initial parameters; seen (from _spy_clip) is emptied first."""
+    monkeypatch.setattr(training, "_free_cores", lambda: free_cores)
+    seen.clear()
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, run.seed)
+    optim = init_optim_state(params, run.optim)
+    threads = threading.active_count()
+    breakdowns = [train_epoch(params, optim, dataset, run, epoch) for epoch in (1, 2)]
+    assert threading.active_count() == threads
+    return params, optim, breakdowns, list(seen)
+
+
+@pytest.mark.parametrize("which", ["desk", "paper_like"])
+def test_train_epoch_on_a_lane_equals_one_thread_bit_for_bit(which, monkeypatch):
+    # clip norms between the first and the last steps' gradient norms
+    if which == "desk":
+        run = parse_config("optim.clip_norm = 300\n", base=_desk_run())
+    else:
+        run = parse_config(PAPER_LIKE_CFG_TEXT + "optim.clip_norm = 4600\n")
+    seen = _spy_clip(monkeypatch)
+    one, lane = _two_epochs(run, 1, seen, monkeypatch), _two_epochs(run, 2, seen, monkeypatch)
+    (params, optim, breakdowns, seen), (lane_params, lane_optim, lane_breakdowns, lane_seen) = one, lane
+    assert [on_lane for _, on_lane in seen] == [False] * len(seen)
+    assert [on_lane for _, on_lane in lane_seen] == [True] * len(seen)
+    scales = [scale for scale, _ in seen]
+    assert [scale for scale, _ in lane_seen] == scales
+    assert 1.0 in scales and any(scale < 1.0 for scale in scales)  # clipped and unclipped steps
+    assert lane_breakdowns == breakdowns
+    assert lane_optim.step == optim.step == len(seen)
+    for name in params:
+        for got, want in ((lane_params, params), (lane_optim.m, optim.m), (lane_optim.v, optim.v)):
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_backward_on_a_lane_equals_the_sweep_on_the_desk_training_loss(lane):
+    from poet.data import batch_iter
+    from poet.loss import hungarian_loss_graph
+
+    run = _desk_run()
+    dataset = synth_generate(run.synth)
+    batch = next(batch_iter(dataset, run.train.batch_size, None, run.model.num_queries))
+    params = model.init_params(run.model, run.seed)
+    got = []
+    for executor in (None, lane):
+        tape = ad.Tape()
+        watched = model.watch_params(tape, params)
+        outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=np.random.default_rng(0))
+        assignments = training._batch_assignments(batch, outputs, run.loss)
+        total, _ = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
+        grads = ad.backward(total, lane=executor)
+        got.append({name: grads.wrt(t).tobytes() for name, t in watched.items()})
+    assert got[0] == got[1]
+
+
+def test_an_error_in_a_vjp_on_the_lane_names_the_epoch_and_batch(monkeypatch):
+    monkeypatch.setattr(training, "_free_cores", lambda: 2)
+    run = tiny_run()  # 24 samples in batches of 8
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, run.seed)
+    before = {name: p.copy() for name, p in params.items()}
+    optim = init_optim_state(params, run.optim)
+    backward, calls, failed_on = ad.backward, [], []
+
+    def fail(g):
+        failed_on.append(threading.current_thread())
+        raise ValueError("a weight-gradient VJP failed")
+
+    def failing_second_batch(loss, lane=None):
+        calls.append(lane)
+        nodes = loss.tape.nodes
+        if len(calls) == 2:  # every VJP into a parameter fails
+            for node in nodes:
+                node.vjps = tuple(
+                    fail if iid is not None and not nodes[iid].input_ids else vjp for iid, vjp in zip(node.input_ids, node.vjps)
+                )
+        return backward(loss, lane=lane)
+
+    monkeypatch.setattr(ad, "backward", failing_second_batch)
+    threads = threading.active_count()
+    with pytest.raises(training.TrainBatchError, match="epoch 3 batch 1: a weight-gradient VJP failed"):
+        train_epoch(params, optim, dataset, run, epoch=3)
+    assert threading.active_count() == threads
+    assert calls[0] is calls[1] is not None
+    assert failed_on and threading.main_thread() not in failed_on
+    assert optim.step == 1  # the first batch's update, and not the second's
+    assert any(params[name].tobytes() != before[name].tobytes() for name in params)
+
+
+@pytest.mark.parametrize(
+    "cores,blas_threads,lane",
+    [(2, "1", True), (2, None, False), (1, "1", False), (4, "2", True), (3, "2", False)],
+)
+def test_the_lane_opens_when_a_core_is_free_after_the_blas_threads(cores, blas_threads, lane, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    for var in training._BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    assert (training._free_cores() > 1) == lane
