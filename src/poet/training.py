@@ -206,6 +206,9 @@ def apply_gradients(
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
+# the fewest parameters a model trains on the lane with: on 2 cores at 1 BLAS thread, synth_tiny-shaped
+# models of 224K and 347K parameters took 5-12 % longer per epoch with it, of 497K and 878K 10-23 % less
+LANE_MIN_PARAMS = 1 << 19
 
 
 def _free_cores() -> int:
@@ -219,9 +222,15 @@ def _free_cores() -> int:
 
 
 def _train_step(
-    params: dict[str, np.ndarray], optim: OptimState, batch: Batch, run: RunConfig, rng, lr_t: float, lr_b: float, lane
+    params: dict[str, np.ndarray], optim: OptimState, batch: Batch, run: RunConfig, rng, lr_t: float, lr_b: float, lane, held: list
 ) -> LossBreakdown:
-    """Forward, matching, loss, backward and update on one batch; its tape and gradients go when it returns."""
+    """Forward, matching, loss, backward and update on one batch.
+
+    held carries the last step's gradients into this step, is emptied just before this step's backward,
+    which reuses their space, and then holds this step's. Freed at the end of each step instead, they
+    left a free heap top that was handed back to the system and faulted in again by every step; held
+    through the backward as well, they raised the peak memory.
+    """
     tape = ad.Tape()
     watched = model.watch_params(tape, params)
     outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=rng)
@@ -230,9 +239,11 @@ def _train_step(
     if len(tape) != nodes_before:
         raise RuntimeError("matching must not record tape nodes")
     total, breakdown = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
+    held.clear()
     grads = ad.backward(total, lane=lane)
     grad_arrays = {name: grads.wrt(t) for name, t in watched.items()}
     apply_gradients(params, grad_arrays, optim, float(total.data), run.optim.clip_norm, lr_t, lr_b, lane=lane)
+    held.append(grads)
     return breakdown
 
 
@@ -245,23 +256,25 @@ def train_epoch(
 ) -> LossBreakdown:
     """One pass over the dataset; returns the mean per-batch loss breakdown.
 
-    When _free_cores leaves a second caller of BLAS room, the VJPs into the parameters and half of the
-    optimizer sweep run on a lane thread, which numpy's release of the GIL lets use another core. The
-    results are the same bit for bit; the thread is gone when this returns or raises.
+    When _free_cores leaves a second caller of BLAS room and the model has LANE_MIN_PARAMS parameters or
+    more, the VJPs into the parameters and half of the optimizer sweep run on a lane thread, which numpy's
+    release of the GIL lets use another core. The results are the same bit for bit; the thread is gone
+    when this returns or raises.
     """
     dropout_rng = np.random.default_rng([run.seed, _DROPOUT_STREAM, epoch])
     lr_t = effective_lr(run.optim.lr_transformer, run.schedule, epoch)
     lr_b = effective_lr(run.optim.lr_backbone, run.schedule, epoch)
     breakdowns = []
     lane = None
-    if _free_cores() > 1:
+    if _free_cores() > 1 and sum(p.size for p in params.values()) >= LANE_MIN_PARAMS:
         from concurrent.futures import ThreadPoolExecutor  # only here: a run without a lane does without it
 
         lane = ThreadPoolExecutor(1, thread_name_prefix="poet-lane")
     try:
+        held = []
         for bi, batch in enumerate(batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries)):
             try:
-                breakdowns.append(_train_step(params, optim, batch, run, dropout_rng, lr_t, lr_b, lane))
+                breakdowns.append(_train_step(params, optim, batch, run, dropout_rng, lr_t, lr_b, lane, held))
             except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
                 raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
     finally:

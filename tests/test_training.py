@@ -1,5 +1,6 @@
 import os
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -800,8 +801,9 @@ def _spy_clip(monkeypatch) -> list:
 
 
 def _two_epochs(run: RunConfig, free_cores: int, seen: list, monkeypatch):
-    """Two epochs from the initial parameters; seen (from _spy_clip) is emptied first."""
+    """Two epochs from the initial parameters, with any model on the lane; seen (from _spy_clip) is emptied first."""
     monkeypatch.setattr(training, "_free_cores", lambda: free_cores)
+    monkeypatch.setattr(training, "LANE_MIN_PARAMS", 0)
     seen.clear()
     dataset = synth_generate(run.synth)
     params = model.init_params(run.model, run.seed)
@@ -856,6 +858,7 @@ def test_backward_on_a_lane_equals_the_sweep_on_the_desk_training_loss(lane):
 
 def test_an_error_in_a_vjp_on_the_lane_names_the_epoch_and_batch(monkeypatch):
     monkeypatch.setattr(training, "_free_cores", lambda: 2)
+    monkeypatch.setattr(training, "LANE_MIN_PARAMS", 0)
     run = tiny_run()  # 24 samples in batches of 8
     dataset = synth_generate(run.synth)
     params = model.init_params(run.model, run.seed)
@@ -899,3 +902,42 @@ def test_the_lane_opens_when_a_core_is_free_after_the_blas_threads(cores, blas_t
     if blas_threads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     assert (training._free_cores() > 1) == lane
+
+
+def test_the_lane_opens_only_for_a_model_of_lane_min_params_or_more(monkeypatch):
+    monkeypatch.setattr(training, "_free_cores", lambda: 2)
+    run = parse_config("synth.num_samples = 8\n", base=tiny_run())
+    dataset = synth_generate(run.synth)
+    size = sum(p.size for p in model.init_params(run.model, run.seed).values())
+    seen = _spy_clip(monkeypatch)
+    for min_params, lane in ((size + 1, False), (size, True)):
+        monkeypatch.setattr(training, "LANE_MIN_PARAMS", min_params)
+        seen.clear()
+        params = model.init_params(run.model, run.seed)
+        train_epoch(params, init_optim_state(params, run.optim), dataset, run, epoch=1)
+        assert seen and [on_lane for _, on_lane in seen] == [lane] * len(seen)
+
+
+def test_each_steps_gradients_live_through_the_next_forward_and_no_further(monkeypatch):
+    run = tiny_run()  # 24 samples in batches of 8
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, run.seed)
+    forward, backward = model.model_forward, ad.backward
+    made, alive_at_forward, alive_at_backward = [], [], []
+
+    def spy_forward(*args, **kwargs):
+        alive_at_forward.append([ref() is not None for ref in made])
+        return forward(*args, **kwargs)
+
+    def spy_backward(loss, lane=None):
+        alive_at_backward.append([ref() is not None for ref in made])
+        grads = backward(loss, lane=lane)
+        made.append(weakref.ref(grads))
+        return grads
+
+    monkeypatch.setattr(model, "model_forward", spy_forward)
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    train_epoch(params, init_optim_state(params, run.optim), dataset, run, epoch=1)
+    assert alive_at_forward == [[], [True], [False, True]]
+    assert alive_at_backward == [[], [False], [False, False]]
+    assert [ref() for ref in made] == [None, None, None]
