@@ -135,7 +135,7 @@ def cmd_eval(args) -> int:
 
     per_layer = []
     if args.predictions:
-        sizes = [training._sample_size(dataset, i) for i in range(len(dataset))]
+        sizes = [s.size for s in dataset.samples]
         try:
             if args.predictions.endswith(".jsonl"):
                 dets = metrics.load_detections_jsonl(args.predictions, sizes, threshold, top_k)
@@ -234,12 +234,7 @@ def cmd_gradcheck(args) -> int:
     for flag, value, lowest in (("--cases", args.cases, 1), ("--seed", args.seed, 0)):
         if value < lowest:
             return _fail(f"{flag} must be >= {lowest}, got {value}", USAGE_ERROR)
-    if args.inject_error:
-        gradcheck.set_corruption(1e-2)
-    try:
-        ok, lines = gradcheck.run_gradcheck(args.component, seed=args.seed, cases=args.cases)
-    finally:
-        gradcheck.set_corruption(0.0)
+    ok, lines = gradcheck.run_gradcheck(args.component, seed=args.seed, cases=args.cases)
     for line in lines:
         print(line)
     return 0 if ok else VERIFY_ERROR
@@ -277,10 +272,10 @@ def cmd_synth(args) -> int:
     counts: dict[int, int] = {}
     visible = total = 0
     for sample in dataset.samples:
-        counts[len(sample.annotations)] = counts.get(len(sample.annotations), 0) + 1
-        for ann in sample.annotations:
-            total += ann.num_keypoints
-            visible += ann.num_visible
+        counts[len(sample.keypoints)] = counts.get(len(sample.keypoints), 0) + 1
+        v = sample.keypoints[:, :, 2]
+        total += v.size
+        visible += int((v > 0).sum())
     print(f"wrote {len(dataset)} samples to {args.out} (+ manifest {args.out}.json)")
     for count in sorted(counts):
         print(f"instances/sample {count}: {counts[count]}")
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--component", choices=("all", "ops", "loss", "model"), default="all")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--cases", type=int, default=100, help="random instances for the loss suite")
-    grad.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(handler=cmd_gradcheck)
 
     synth = sub.add_parser("synth", help="generate and cache a synthetic dataset")

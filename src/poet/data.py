@@ -6,6 +6,10 @@ keypoint into channel ``keypoint_index % channels``, so poses are recoverable
 from pixels and occlusion is visible as a missing blob. Everything is a pure
 function of the seed. Rendering is lazy: caches store only annotations plus
 the render parameters.
+
+A sample's annotations are one float64 array of shape (instances, K, 3): each
+keypoint's x, y in pixels and its COCO visibility v (0 unlabeled, 1 occluded,
+2 visible), the rows of a COCO keypoint triplet list.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import SynthConfig
-from .pose import InstanceAnnotation, Keypoint, TargetSet, encode_targets
+from .pose import TargetSet, encode_targets
 
 log = logging.getLogger("poet.data")
 
@@ -40,10 +44,16 @@ class RenderSpec:
 
 @dataclass
 class Sample:
-    annotations: list[InstanceAnnotation]
+    keypoints: np.ndarray  # (instances, K, 3) float64 x, y, v rows
+    size: tuple[float, float]  # the image's (W, H) in pixels
     image: np.ndarray | None = None  # (C, H, W); None when rendered lazily or eval-only
     image_id: int | None = None
-    areas: list[float | None] | None = None  # per-annotation object area for OKS scale, where the source provides one
+    areas: list[float | None] | None = None  # per-instance object area for OKS scale, where the source provides one
+
+    @property
+    def num_people(self) -> int:
+        """Instances with a visible keypoint (v > 0): those that take a prediction slot."""
+        return int(np.count_nonzero((self.keypoints[:, :, 2] > 0).any(axis=1)))
 
 
 class Dataset:
@@ -55,9 +65,9 @@ class Dataset:
         self.num_keypoints = int(num_keypoints)
         self.render = render
         for i, sample in enumerate(self.samples):
-            for ann in sample.annotations:
-                if ann.num_keypoints != self.num_keypoints:
-                    raise ValueError(f"sample {i}: annotation has {ann.num_keypoints} keypoints, dataset has {self.num_keypoints}")
+            shape = sample.keypoints.shape
+            if len(shape) != 3 or shape[1:] != (self.num_keypoints, 3):
+                raise ValueError(f"sample {i}: keypoints of shape {shape}, the dataset has (instances, {self.num_keypoints}, 3)")
 
     def __len__(self):
         return len(self.samples)
@@ -67,7 +77,7 @@ class Dataset:
         if sample.image is None:
             if self.render is None:
                 raise ValueError(f"sample {i} has no pixels and the dataset has no render spec")
-            sample.image = render_image(sample.annotations, self.image_size, self.render)
+            sample.image = render_image(sample.keypoints, self.image_size, self.render)
         return sample.image
 
 
@@ -94,23 +104,21 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     samples = []
     for _ in range(cfg.num_samples):
         count = int(rng.integers(cfg.min_instances, cfg.max_instances + 1))
-        annotations = []
+        keypoints = np.empty((count, cfg.num_keypoints, 3))
         areas = []
-        for _ in range(count):
+        for kps in keypoints:
             base = rng.uniform(margin, size - margin, 2)
             jitter = rng.normal(0.0, 1.2, (cfg.num_keypoints, 2))
-            points = np.clip(base + template + jitter, 1.0, size - 2.0)
-            occluded = rng.random(cfg.num_keypoints) < cfg.occlusion
-            kps = [Keypoint(float(x), float(y), 0 if occ else 2) for (x, y), occ in zip(points, occluded)]
-            annotations.append(InstanceAnnotation(kps, (size, size)))
+            kps[:, :2] = points = np.clip(base + template + jitter, 1.0, size - 2.0)
+            kps[:, 2] = np.where(rng.random(cfg.num_keypoints) < cfg.occlusion, 0.0, 2.0)
             spans = points.max(axis=0) - points.min(axis=0)
             areas.append(float(max(spans[0], 1.0) * max(spans[1], 1.0)))
-        samples.append(Sample(annotations, areas=areas))
+        samples.append(Sample(keypoints, (size, size), areas=areas))
     return Dataset(samples, (size, size), cfg.num_keypoints, RenderSpec(cfg.blob_radius, cfg.channels))
 
 
-def render_image(annotations: Sequence[InstanceAnnotation], image_size, spec: RenderSpec) -> np.ndarray:
-    """One Gaussian blob per visible keypoint, channel = keypoint index mod channels.
+def render_image(keypoints: np.ndarray, image_size, spec: RenderSpec) -> np.ndarray:
+    """One Gaussian blob per visible keypoint of the (instances, K, 3) rows, channel = keypoint index mod channels.
 
     Overlapping blobs compose by max, so each visible keypoint keeps a local
     peak at its own location.
@@ -120,13 +128,11 @@ def render_image(annotations: Sequence[InstanceAnnotation], image_size, spec: Re
     sigma = spec.blob_radius / 2.0
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
-    for ann in annotations:
-        for k, kp in enumerate(ann.keypoints):
-            if kp.v <= 0:
-                continue
-            blob = np.exp(-((xs - kp.x) ** 2 + (ys - kp.y) ** 2) / (2.0 * sigma**2))
-            channel = k % spec.channels
-            np.maximum(image[channel], blob, out=image[channel])
+    for i, k in zip(*np.nonzero(keypoints[:, :, 2] > 0)):
+        x, y = keypoints[i, k, :2].tolist()
+        blob = np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2.0 * sigma**2))
+        channel = k % spec.channels
+        np.maximum(image[channel], blob, out=image[channel])
     return image
 
 
@@ -156,7 +162,7 @@ def batch_iter(dataset: Dataset, batch_size: int, shuffle_seed: int | None, num_
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
         images = np.stack([dataset.image(int(i)) for i in chunk])
-        targets = [encode_targets(dataset.samples[int(i)].annotations, dataset.num_keypoints, num_slots) for i in chunk]
+        targets = [encode_targets(dataset.samples[i].keypoints, dataset.samples[i].size, num_slots) for i in chunk.tolist()]
         num_humans = sum(t.num_humans for t in targets)
         yield Batch(images, targets, num_humans, tuple(int(i) for i in chunk))
 
@@ -169,11 +175,11 @@ def filter_for_training(dataset: Dataset, max_instances: int) -> tuple[Dataset, 
     kept = []
     dropped_empty = dropped_overfull = 0
     for sample in dataset.samples:
-        visible = [a for a in sample.annotations if a.num_visible > 0]
-        if not visible:
+        people = sample.num_people
+        if not people:
             dropped_empty += 1
             continue
-        if len(visible) > max_instances:
+        if people > max_instances:
             dropped_overfull += 1
             continue
         kept.append(sample)
@@ -194,13 +200,22 @@ def _field(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {value}")
+    return value
+
+
 def load_coco_keypoints(path: str) -> Dataset:
     """Read a COCO-format annotation file (images/annotations arrays, keypoint triplets).
 
     Persons with zero labeled keypoints are retained (they encode as
     non-objects); crowd annotations are skipped. Pixels are not loaded:
     the result supports target encoding and metric evaluation only. A field
-    of the wrong type raises ParseError naming the file and the entry.
+    of the wrong type, a repeated image id, a width or height that is not
+    positive, or a NaN or infinite number raises ParseError naming the file
+    and the entry. Each v is truncated toward zero, as int() does.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -210,8 +225,7 @@ def load_coco_keypoints(path: str) -> Dataset:
     images = _field(doc, "images", path)
     annotations = _field(doc, "annotations", path)
     sizes: dict[int, tuple[float, float]] = {}
-    order: list[int] = []
-    grouped: dict[int, list[InstanceAnnotation]] = {}
+    grouped: dict[int, list[np.ndarray]] = {}
     grouped_areas: dict[int, list[float]] = {}
     num_keypoints = None
     where = path
@@ -219,8 +233,12 @@ def load_coco_keypoints(path: str) -> Dataset:
         for i, img in enumerate(images):
             where = f"{path}.images[{i}]"
             img_id = int(_field(img, "id", where))
-            sizes[img_id] = (float(_field(img, "width", where)), float(_field(img, "height", where)))
-            order.append(img_id)
+            if img_id in sizes:
+                raise ParseError(f"{where}: duplicate image id {img_id}")
+            size = tuple(_finite(_field(img, key, where), f"{where}: {key}") for key in ("width", "height"))
+            if min(size) <= 0:
+                raise ParseError(f"{where}: width and height must be positive, got {size[0]:g} x {size[1]:g}")
+            sizes[img_id] = size
             grouped[img_id], grouped_areas[img_id] = [], []
 
         for i, ann in enumerate(annotations):
@@ -240,64 +258,31 @@ def load_coco_keypoints(path: str) -> Dataset:
                 num_keypoints = k
             elif k != num_keypoints:
                 raise ParseError(f"{where}: {k} keypoints, expected {num_keypoints}")
-            kps = [Keypoint(float(triplets[3 * j]), float(triplets[3 * j + 1]), int(triplets[3 * j + 2])) for j in range(k)]
-            grouped[img_id].append(InstanceAnnotation(kps, sizes[img_id]))
-            grouped_areas[img_id].append(float(ann["area"]) if "area" in ann else -1.0)
+            kps = np.array(triplets)
+            if kps.dtype.kind not in "biuf" or not np.isfinite(kps).all():
+                raise ParseError(f"{where}: keypoints must be finite numbers, got {triplets!r:.40}")
+            kps = kps.astype(np.float64).reshape(k, 3)
+            kps[:, 2] = np.trunc(kps[:, 2]) + 0.0  # v as int() reads it; + 0.0 as int() has no -0
+            grouped[img_id].append(kps)
+            grouped_areas[img_id].append(_finite(ann["area"], f"{where}: area") if "area" in ann else -1.0)
     except (ParseError, MissingField):
         raise
-    except (TypeError, ValueError) as e:  # a null or non-numeric value where a number belongs
+    except (TypeError, ValueError, OverflowError) as e:  # a null, non-numeric or huge value where a number belongs
         raise ParseError(f"{where}: {e}") from e
 
-    if num_keypoints is None:
-        num_keypoints = 0
+    k = num_keypoints or 0
     samples = [
         Sample(
-            grouped[img_id],
+            np.array(grouped[img_id]) if grouped[img_id] else np.zeros((0, k, 3)),
+            sizes[img_id],
             image_id=img_id,
             areas=[a if a > 0 else None for a in grouped_areas[img_id]] if grouped_areas[img_id] else None,
         )
-        for img_id in order
+        for img_id in sizes
     ]
     # image sizes can vary across a COCO set; keep the first as the nominal size
-    nominal = sizes[order[0]] if order else (0.0, 0.0)
-    return Dataset(samples, nominal, num_keypoints)
-
-
-def save_coco_keypoints(dataset: Dataset, path: str) -> None:
-    """Write the ingestion subset of the COCO schema (inverse of load_coco_keypoints)."""
-    images = []
-    annotations = []
-    ann_id = 1
-    for i, sample in enumerate(dataset.samples):
-        img_id = sample.image_id if sample.image_id is not None else i + 1
-        if sample.annotations:
-            w, h = sample.annotations[0].image_size
-        else:
-            w, h = dataset.image_size
-        images.append({"id": img_id, "width": w, "height": h, "file_name": f"{img_id}.png"})
-        for j, ann in enumerate(sample.annotations):
-            triplets: list[float] = []
-            for kp in ann.keypoints:
-                triplets.extend((kp.x, kp.y, kp.v))
-            record = {
-                "id": ann_id,
-                "image_id": img_id,
-                "category_id": 1,
-                "keypoints": triplets,
-                "num_keypoints": ann.num_visible,
-                "iscrowd": 0,
-            }
-            if sample.areas is not None and sample.areas[j] is not None:
-                record["area"] = sample.areas[j]
-            annotations.append(record)
-            ann_id += 1
-    doc = {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": 1, "name": "person", "keypoints": [f"kp{i}" for i in range(dataset.num_keypoints)]}],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    nominal = next(iter(sizes.values()), (0.0, 0.0))
+    return Dataset(samples, nominal, k)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +293,7 @@ def save_dataset_cache(dataset: Dataset, path: str, synth_cfg: SynthConfig | Non
     """Persist annotations as a binary array container plus a JSON manifest sidecar."""
     arrays: dict[str, np.ndarray] = {}
     for i, sample in enumerate(dataset.samples):
-        rows = np.zeros((len(sample.annotations), dataset.num_keypoints, 3))
-        for a, ann in enumerate(sample.annotations):
-            for k, kp in enumerate(ann.keypoints):
-                rows[a, k] = (kp.x, kp.y, kp.v)
-        arrays[f"sample{i:06d}"] = rows
+        arrays[f"sample{i:06d}"] = sample.keypoints
         if sample.areas is not None:
             arrays[f"sample{i:06d}.areas"] = np.array([-1.0 if a is None else a for a in sample.areas])
     checkpoint.save_arrays(path, arrays)
@@ -332,30 +313,31 @@ def load_dataset_cache(path: str) -> Dataset:
     """Read a cache written by save_dataset_cache.
 
     A manifest that is not JSON or lacks a field, or a container that is cut
-    short or lacks a sample, raises ParseError naming the path; a missing file
-    raises FileNotFoundError.
+    short, lacks a sample or holds one of the wrong shape or a NaN or infinite
+    value, raises ParseError naming the path; a missing file raises
+    FileNotFoundError. Each v is truncated toward zero, as int() does.
     """
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         arrays = checkpoint.load_arrays(path)
-        image_size = tuple(manifest["image_size"])
+        size = (float(manifest["image_size"][0]), float(manifest["image_size"][1]))
+        k = int(manifest["num_keypoints"])
         samples = []
         for i in range(manifest["num_samples"]):
-            rows = arrays[f"sample{i:06d}"]
-            annotations = [
-                InstanceAnnotation([Keypoint(float(x), float(y), int(v)) for x, y, v in inst], image_size)
-                for inst in rows
-            ]
+            keypoints = arrays[f"sample{i:06d}"]
+            if keypoints.ndim != 3 or keypoints.shape[1:] != (k, 3) or not np.isfinite(keypoints).all():
+                raise ValueError(f"sample {i} must hold finite (instances, {k}, 3) keypoint rows, got shape {keypoints.shape}")
+            keypoints[:, :, 2] = np.trunc(keypoints[:, :, 2]) + 0.0  # + 0.0 as int() has no -0
             raw_areas = arrays.get(f"sample{i:06d}.areas")
             areas = None if raw_areas is None else [None if a < 0 else float(a) for a in raw_areas]
-            samples.append(Sample(annotations, areas=areas))
+            samples.append(Sample(keypoints, size, areas=areas))
         render = manifest.get("render")
         spec = RenderSpec(render["blob_radius"], int(render["channels"])) if render else None
-        return Dataset(samples, image_size, int(manifest["num_keypoints"]), spec)
+        return Dataset(samples, size, k, spec)
     except checkpoint.ContainerError as e:  # its message starts with the path
         raise ParseError(f"dataset cache {e}") from e
     except KeyError as e:
         raise ParseError(f"dataset cache {path}: {e.args[0]!r} is missing") from e
-    except (TypeError, ValueError) as e:  # a manifest that is not JSON, or a field of the wrong type
+    except (TypeError, ValueError, IndexError) as e:  # a manifest that is not JSON, or a field of the wrong type
         raise ParseError(f"dataset cache {path}: {e}") from e

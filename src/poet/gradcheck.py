@@ -23,16 +23,6 @@ OP_TOLERANCE = 1e-5
 LOSS_TOLERANCE = 1e-4
 MODEL_TOLERANCE = 1e-4
 
-# test-only hook: a nonzero offset is added to one analytic gradient so the
-# harness can prove it notices a corrupted backward
-_corruption = 0.0
-
-
-def set_corruption(offset: float) -> None:
-    global _corruption
-    _corruption = float(offset)
-
-
 def _max_rel_err(build: Callable, arrays: list[np.ndarray], eps: float = 1e-4) -> float:
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
@@ -46,7 +36,7 @@ def _max_rel_err(build: Callable, arrays: list[np.ndarray], eps: float = 1e-4) -
             return float(build(inputs).data)
 
         numeric = ad.finite_diff(f, ad.Tensor(arrays[i]), eps=eps)
-        analytic = grads.wrt(leaf) + _corruption
+        analytic = grads.wrt(leaf)
         worst = max(worst, ad.relative_error(analytic, numeric.data))
     return worst
 
@@ -163,7 +153,7 @@ def check_loss(seed: int = 0, cases: int = 100) -> float:
                 return float(total.data)
 
             numeric = ad.finite_diff(f, ad.Tensor(outputs[key]), eps=1e-4)
-            analytic = grads.wrt(tensors[key]) + _corruption
+            analytic = grads.wrt(tensors[key])
             worst = max(worst, ad.relative_error(analytic, numeric.data))
     return worst
 
@@ -202,7 +192,7 @@ def check_model(seed: int = 0) -> float:
             return float(value.data)
 
         numeric = ad.finite_diff(f, ad.Tensor(params[name]), eps=1e-5)
-        analytic = grads.wrt(tensors[name]) + _corruption
+        analytic = grads.wrt(tensors[name])
         worst = max(worst, ad.relative_error(analytic, numeric.data))
     return worst
 

@@ -4,7 +4,7 @@ The pairwise cost couples the (raw) predicted probability of the target class
 with the pose discrepancy; non-object targets cost zero against everything.
 The cost block of the human rows is built in one numpy broadcast that repeats
 ``pose_loss``'s operations in its order, so every entry is bit-identical to
-``match_cost``.
+``pose_loss`` minus the predicted human probability.
 
 The solver works on the people rows only: rows up to the last non-zero one
 are solved against all columns by shortest augmenting paths with potentials
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import LossWeights, pose_loss
-from .pose import PredictionSet, PredictionSlot, PoseVector, TargetSet
+from .loss import LossWeights
+from .pose import PredictionSet, TargetSet
 
 BRUTE_FORCE_MAX = 8
 _TIE_EPS = 1e-9  # far below any sensible cost grid, far above float-sum noise
@@ -63,19 +63,11 @@ class Assignment:
     total_cost: float
 
 
-def match_cost(target: PoseVector, pred: PredictionSlot, weights: LossWeights) -> float:
-    """Pairwise matching cost; zero for non-object targets."""
-    if not target.is_human:
-        return 0.0
-    value, _ = pose_loss(target, pred.pose, weights)
-    return -pred.class_probs[0] + value
-
-
 def _cost_block(t_center, t_offsets, t_vis, p_human, p_center, p_offsets, p_vis, weights: LossWeights) -> np.ndarray:
     """Costs of h human targets against n predictions, shape (h, n), in one broadcast.
 
-    The operations and their order are those of ``pose_loss`` followed by
-    ``match_cost``, so each entry equals ``match_cost`` bit for bit.
+    The operations and their order are those of ``pose_loss`` and then
+    ``-p_human + value``, so each entry equals that plain-float cost bit for bit.
     """
     if t_offsets.shape[-1] != p_offsets.shape[-1]:
         raise ValueError(f"keypoint counts differ: {t_offsets.shape[-1] // 2} vs {p_offsets.shape[-1] // 2}")
@@ -104,7 +96,7 @@ def array_cost_matrix(
     the human-class probabilities; centers are (n, 2), offsets and duplicated
     visibilities (n, 2K). Only the human rows are computed, in one
     ``_cost_block``; non-object rows stay zero, as their indicator terms
-    vanish. Every entry equals ``match_cost`` bit for bit.
+    vanish. Every human row's entry equals ``-p_human + pose_loss`` bit for bit.
     """
     n = t_human.shape[0]
     if p_human.shape[0] != n:

@@ -286,7 +286,7 @@ def select_detections(score, center, offsets, sizes, score_threshold: float, top
     (B, N, 2K) normalized poses, sizes each image's (W, H). With top_k > 0
     the top_k scores are kept, ties going to the lower slot; otherwise every
     slot scoring at least score_threshold. A keypoint lands at
-    (center + offset) * (W, H), as decode_pose places it.
+    (center + offset) * (W, H).
     """
     b, n = score.shape
     per_keypoint = offsets.reshape(b, n, offsets.shape[-1] // 2, 2)
@@ -324,7 +324,8 @@ def load_detections_coco(path: str, image_ids: Sequence[int]) -> list[list[Detec
     """Read a COCO results-format list of keypoint detections, grouped by image id.
 
     An entry that is not an object, or whose fields are missing, null or not
-    numbers, raises ParseError naming the file and the entry's index.
+    numbers, or whose score is NaN or infinite, raises ParseError naming the
+    file and the entry's index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
@@ -338,7 +339,10 @@ def load_detections_coco(path: str, image_ids: Sequence[int]) -> list[list[Detec
             img = int(entry["image_id"])
             if img in by_image:
                 triplets = np.asarray(entry["keypoints"], dtype=np.float64).reshape(-1, 3)
-                by_image[img].append(Detection(triplets[:, :2], entry.get("score", 1.0)))
+                det = Detection(triplets[:, :2], entry.get("score", 1.0))
+                if not np.isfinite(det.score):
+                    raise ParseError(f"{path}: entry {pos}: score must be finite, got {det.score}")
+                by_image[img].append(det)
         except KeyError as e:
             raise ParseError(f"{path}: entry {pos} has no {e.args[0]!r}") from e
         except (TypeError, ValueError) as e:  # a null or non-numeric value where a number belongs

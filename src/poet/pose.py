@@ -27,33 +27,6 @@ class TooManyInstances(ValueError):
 
 
 @dataclass(frozen=True)
-class Keypoint:
-    """One annotated point; v follows the COCO convention {0: unlabeled, 1: occluded, 2: visible}."""
-
-    x: float
-    y: float
-    v: int
-
-
-@dataclass(frozen=True)
-class InstanceAnnotation:
-    keypoints: tuple[Keypoint, ...]
-    image_size: tuple[float, float]  # (W, H) in pixels
-
-    def __init__(self, keypoints: Iterable[Keypoint], image_size: Sequence[float]):
-        object.__setattr__(self, "keypoints", tuple(keypoints))
-        object.__setattr__(self, "image_size", (float(image_size[0]), float(image_size[1])))
-
-    @property
-    def num_keypoints(self) -> int:
-        return len(self.keypoints)
-
-    @property
-    def num_visible(self) -> int:
-        return sum(1 for kp in self.keypoints if kp.v > 0)
-
-
-@dataclass(frozen=True)
 class PoseVector:
     """Flat instance representation: center in [0,1]^2, 2K offsets, 2K duplicated visibilities.
 
@@ -151,54 +124,32 @@ class PredictionSet:
         return self.slots[i]
 
 
-def non_object_pose(num_keypoints: int) -> PoseVector:
-    return PoseVector((0.0, 0.0), (0.0,) * (2 * num_keypoints), (0.0,) * (2 * num_keypoints), PoseClass.NON_OBJECT)
-
-
-def encode_targets(annotations: Sequence[InstanceAnnotation], num_keypoints: int, num_slots: int) -> TargetSet:
-    """One image's targets: each instance with a visible keypoint (v > 0) takes the next slot, in order.
+def encode_targets(keypoints: np.ndarray, image_size: Sequence[float], num_slots: int) -> TargetSet:
+    """One image's targets from its (instances, K, 3) x, y, v rows: each instance with a visible keypoint (v > 0) takes the next slot, in order.
 
     Its center is the mean of the visible keypoints divided per axis by the
     image's (W, H); its offsets are the visible keypoints' displacements from
     that center, normalized alike, and zero for invisible ones. Instances
     without a visible keypoint are non-objects.
     """
-    bad = [a.image_size for a in annotations if min(a.image_size) <= 0]
-    if bad:
-        raise ValueError(f"image size must be positive, got {bad[0]}")
-    people = [a for a in annotations if a.num_visible > 0]
-    if len(people) > num_slots:
-        raise TooManyInstances(f"{len(people)} instances exceed {num_slots} slots")
-    out = _blank_targets(num_slots, 2 * num_keypoints)
-    if not people:
-        return out
+    if len(keypoints) and min(image_size) <= 0:
+        raise ValueError(f"image size must be positive, got {tuple(image_size)}")
+    people = keypoints[(keypoints[:, :, 2] > 0).any(axis=1)]
     h = len(people)
-    kps = np.array([[(kp.x, kp.y, kp.v) for kp in a.keypoints] for a in people]).reshape(h, num_keypoints, 3)
-    size = np.array([a.image_size for a in people])[:, None, :]
-    visible = kps[:, :, 2:] > 0
-    xy = np.where(visible, kps[:, :, :2], 0.0)
+    if h > num_slots:
+        raise TooManyInstances(f"{h} instances exceed {num_slots} slots")
+    out = _blank_targets(num_slots, 2 * keypoints.shape[1])
+    if not h:
+        return out
+    size = np.asarray(image_size, dtype=np.float64)
+    visible = people[:, :, 2:] > 0
+    xy = np.where(visible, people[:, :, :2], 0.0)
     # summed in keypoint order from +0.0, as sum() does: a total of only -0.0 terms is +0.0
     center = (0.0 + xy.cumsum(axis=1)[:, -1:]) / visible.sum(axis=1, keepdims=True)
     out.human[:h] = True
     out.center[:h] = (center / size)[:, 0]
     out.offsets[:h] = np.where(visible, (xy - center) / size, 0.0).reshape(h, -1)
     out.visibilities[:h] = np.repeat(visible[:, :, 0], 2, axis=1)
-    return out
-
-
-def encode_pose(ann: InstanceAnnotation) -> PoseVector:
-    """One instance's pose vector: encode_targets' row for it, a non-object when no keypoint is visible."""
-    return encode_targets([ann], ann.num_keypoints, 1)[0]
-
-
-def decode_pose(p: PoseVector, image_size: Sequence[float]) -> list[Keypoint]:
-    """Invert encode_pose: pixel keypoints with v copied from the visibility pair."""
-    w, h = float(image_size[0]), float(image_size[1])
-    out = []
-    for i in range(p.num_keypoints):
-        x = (p.center[0] + p.offsets[2 * i]) * w
-        y = (p.center[1] + p.offsets[2 * i + 1]) * h
-        out.append(Keypoint(x, y, 1 if p.visibilities[2 * i] > 0.5 else 0))
     return out
 
 
@@ -213,16 +164,8 @@ def pad_targets(poses: Sequence[PoseVector], num_slots: int) -> TargetSet:
     return out
 
 
-def to_flat(p: PoseVector) -> list[float]:
-    """Serialize as [x_c, y_c, dx_1, dy_1, v_1, dx_2, dy_2, v_2, ...] (one v per keypoint)."""
-    out = [p.center[0], p.center[1]]
-    for i in range(p.num_keypoints):
-        out.extend((p.offsets[2 * i], p.offsets[2 * i + 1], p.visibilities[2 * i]))
-    return out
-
-
 def from_flat(values: Sequence[float], pose_class: PoseClass | int) -> PoseVector:
-    """Inverse of to_flat; re-duplicates each keypoint's visibility per coordinate."""
+    """A pose from [x_c, y_c, dx_1, dy_1, v_1, ...] (one v per keypoint), re-duplicating each visibility per coordinate."""
     if (len(values) - 2) % 3 != 0:
         raise ValueError(f"flat pose length must be 2 + 3K, got {len(values)}")
     k = (len(values) - 2) // 3
@@ -264,7 +207,7 @@ def read_records(path: str, key: str) -> list[tuple[int, list]]:
 
 
 def arrays_from_flat(poses: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse n flat poses (to_flat's layout) into float64 arrays, with no PoseVector.
+    """Parse n flat poses (from_flat's layout) into float64 arrays, with no PoseVector.
 
     Returns the centers (n, 2), the offsets (n, 2K) and the visibilities
     duplicated per coordinate (n, 2K), holding the values from_flat would.

@@ -312,22 +312,14 @@ def dataset_loss(params: dict[str, np.ndarray], dataset: Dataset, run: RunConfig
 # evaluation
 
 
-def _sample_size(dataset: Dataset, index: int) -> tuple[float, float]:
-    anns = dataset.samples[index].annotations
-    return anns[0].image_size if anns else dataset.image_size
-
-
 def ground_truths(dataset: Dataset) -> list[list[metrics.GroundTruthInstance]]:
-    out = []
-    for sample in dataset.samples:
-        instances = []
-        for j, ann in enumerate(sample.annotations):
-            pts = np.array([(kp.x, kp.y) for kp in ann.keypoints])
-            vis = np.array([kp.v for kp in ann.keypoints], dtype=float)
-            area = sample.areas[j] if sample.areas is not None else None
-            instances.append(metrics.GroundTruthInstance(pts, vis, area))
-        out.append(instances)
-    return out
+    return [
+        [
+            metrics.GroundTruthInstance(kps[:, :2], kps[:, 2], None if sample.areas is None else sample.areas[j])
+            for j, kps in enumerate(sample.keypoints)
+        ]
+        for sample in dataset.samples
+    ]
 
 
 def _layer_outputs(images: np.ndarray, cparams: dict[str, ad.Tensor], cfg: ModelConfig) -> list[dict[str, ad.Tensor]]:
@@ -429,7 +421,7 @@ def evaluate(
             receive.close()
     per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
     for indices, layers in forwarded:
-        sizes = [_sample_size(dataset, i) for i in indices]
+        sizes = [dataset.samples[i].size for i in indices]
         for dets, (score, center, offsets) in zip(per_layer, layers):
             dets += metrics.select_detections(score, center, offsets, sizes, score_threshold, top_k)
     results = _score_layers(per_layer, dataset, oks_params or default_oks_params(cfg.num_keypoints))
@@ -450,7 +442,7 @@ def validate(
     for batch in batch_iter(dataset, run.train.batch_size, None, cfg.num_queries):
         layers = _layer_outputs(batch.images, cparams, cfg)
         losses.append(_batch_loss(batch, layers[-1], run.loss))
-        sizes = [_sample_size(dataset, i) for i in batch.indices]
+        sizes = [dataset.samples[i].size for i in batch.indices]
         for dets, out in zip(per_layer, layers):
             score, center, offsets = out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data
             dets += metrics.select_detections(score, center, offsets, sizes, run.train.score_threshold, run.train.top_k)
@@ -589,7 +581,7 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
     if val_ds is not None and run.train.eval_every > 0:
         check_dataset(val_ds, run.model, "validation")
         # the validation loss pads each image's people to the slot count
-        most = max((sum(a.num_visible > 0 for a in s.annotations) for s in val_ds.samples), default=0)
+        most = max((s.num_people for s in val_ds.samples), default=0)
         if most > run.model.num_queries:
             raise ConfigError(
                 f"the validation set has an image with {most} people, more than the model's "

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import encode_pose, save_coco_keypoints, to_flat
 from poet.cli import main
-from poet.pose import PoseClass, PoseVector, encode_pose, to_flat
-from poet.pose import InstanceAnnotation, Keypoint
+from poet.pose import PoseClass, PoseVector
 
 TINY_CFG = """
 run.seed = 5
@@ -54,8 +54,7 @@ def write_match_files(tmp_path, n_records=1, n_slots=3):
             preds = []
             for s in range(n_slots):
                 if s == 0:
-                    ann = InstanceAnnotation([Keypoint(10 + 5 * s, 12, 2), Keypoint(20, 30, 2)], (64, 64))
-                    pose = encode_pose(ann)
+                    pose = encode_pose([[10 + 5 * s, 12, 2], [20, 30, 2]], (64, 64))
                     targets.append({"pose": to_flat(pose), "class": 1})
                 else:
                     targets.append({"pose": [0.0, 0.0] + [0.0, 0.0, 0.0] * 2, "class": 0})
@@ -112,8 +111,7 @@ def test_match_total_is_minus_prob_sum_for_identical_pose(tmp_path, capsys):
     # prediction pose identical to the target, p_human = 0.8: pair cost is -0.8
     targets_path = tmp_path / "t.jsonl"
     preds_path = tmp_path / "p.jsonl"
-    ann = InstanceAnnotation([Keypoint(16, 16, 2), Keypoint(40, 28, 2)], (64, 64))
-    pose = encode_pose(ann)
+    pose = encode_pose([[16, 16, 2], [40, 28, 2]], (64, 64))
     targets_path.write_text(json.dumps({"targets": [{"pose": to_flat(pose), "class": 1}]}) + "\n")
     preds_path.write_text(json.dumps({"preds": [{"pose": to_flat(pose), "class_probs": [0.8, 0.2]}]}) + "\n")
     assert main(["match", str(targets_path), str(preds_path)]) == 0
@@ -410,6 +408,17 @@ MALFORMED_COCO = {
     "keypoints-null": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "keypoints": None}]}, [GOOD_RESULT], "ann.json.annotations[0]: keypoints must be a list"),
     "keypoint-not-a-number": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "keypoints": [10, "a", 2, 20, 30, 2]}]}, [GOOD_RESULT], "ann.json.annotations[0]:"),
     "area-not-a-number": ({**GOOD_COCO, "annotations": [GOOD_COCO_ANN, {**GOOD_COCO_ANN, "area": "big"}]}, [GOOD_RESULT], "ann.json.annotations[1]:"),
+    "duplicate-image-id": ({**GOOD_COCO, "images": GOOD_COCO["images"] * 2}, [GOOD_RESULT], "ann.json.images[1]: duplicate image id 1"),
+    "width-zero": ({**GOOD_COCO, "images": [{"id": 1, "width": 0, "height": 32}]}, [GOOD_RESULT], "ann.json.images[0]: width and height must be positive"),
+    "height-negative": ({**GOOD_COCO, "images": [{"id": 1, "width": 32, "height": -32}]}, [GOOD_RESULT], "ann.json.images[0]: width and height must be positive"),
+    "width-nan": ({**GOOD_COCO, "images": [{"id": 1, "width": math.nan, "height": 32}]}, [GOOD_RESULT], "ann.json.images[0]: width must be finite"),
+    "height-infinity": ({**GOOD_COCO, "images": [{"id": 1, "width": 32, "height": math.inf}]}, [GOOD_RESULT], "ann.json.images[0]: height must be finite"),
+    "keypoint-nan": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "keypoints": [10, math.nan, 2, 20, 30, 2]}]}, [GOOD_RESULT], "ann.json.annotations[0]: keypoints must be finite numbers"),
+    "keypoint-infinity": ({**GOOD_COCO, "annotations": [GOOD_COCO_ANN, {**GOOD_COCO_ANN, "keypoints": [10, 12, 2, -math.inf, 30, 2]}]}, [GOOD_RESULT], "ann.json.annotations[1]: keypoints must be finite numbers"),
+    "area-nan": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "area": math.nan}]}, [GOOD_RESULT], "ann.json.annotations[0]: area must be finite"),
+    "area-infinity": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "area": math.inf}]}, [GOOD_RESULT], "ann.json.annotations[0]: area must be finite"),
+    "result-score-nan": (GOOD_COCO, [GOOD_RESULT, {**GOOD_RESULT, "score": math.nan}], "results.json: entry 1: score must be finite"),
+    "result-score-infinity": (GOOD_COCO, [{**GOOD_RESULT, "score": -math.inf}], "results.json: entry 0: score must be finite"),
     "file-is-an-array": ([1, 2], [GOOD_RESULT], "ann.json: expected a JSON object with the field 'images', got list"),
 }
 
@@ -468,11 +477,24 @@ def test_malformed_dataset_cache_exit_2_without_traceback(tiny_cfg_path, tmp_pat
     assert_usage_error(argv, tmp_path, "dataset cache ds.bin")
 
 
-def test_gradcheck_component_and_injection(capsys):
+def test_gradcheck_component_and_injection(capsys, monkeypatch):
+    from poet import autodiff
+
     assert main(["gradcheck", "--component", "loss", "--cases", "3"]) == 0
     out = capsys.readouterr().out
     assert "loss: max rel err" in out and "ops/" not in out
-    assert main(["gradcheck", "--component", "loss", "--cases", "2", "--inject-error"]) == 1
+    backward = autodiff.backward
+
+    def corrupted(*args, **kwargs):  # every analytic gradient off by 1e-2
+        grads = backward(*args, **kwargs)
+        wrt = grads.wrt
+        grads.wrt = lambda t: wrt(t) + 1e-2
+        return grads
+
+    monkeypatch.setattr(autodiff, "backward", corrupted)
+    assert main(["gradcheck", "--component", "loss", "--cases", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "loss: max rel err" in out and "FAIL (tolerance" in out
 
 
 def test_train_eval_roundtrip(tiny_cfg_path, tmp_path, capsys):
@@ -570,8 +592,8 @@ def test_eval_external_predictions_jsonl(tiny_cfg_path, tmp_path, capsys):
     with open(preds_path, "w") as fh:
         for sample in val.samples:
             preds = []
-            for ann in sample.annotations:
-                pose = encode_pose(ann)
+            for kps in sample.keypoints:
+                pose = encode_pose(kps, sample.size)
                 if pose.is_human:
                     preds.append({"pose": to_flat(pose), "class_probs": [1.0, 0.0]})
             fh.write(json.dumps({"preds": preds}) + "\n")
@@ -590,7 +612,7 @@ def test_eval_predictions_top_k_keeps_that_many_per_image(tiny_cfg_path, tmp_pat
     rng = np.random.default_rng(3)
     with open(tmp_path / "p.jsonl", "w") as fh:
         for sample in val.samples:
-            exact = [{"pose": to_flat(encode_pose(a)), "class_probs": [0.6, 0.4]} for a in sample.annotations if a.num_visible]
+            exact = [{"pose": to_flat(encode_pose(a, sample.size)), "class_probs": [0.6, 0.4]} for a in sample.keypoints if a[:, 2].any()]
             noise = [{"pose": rng.uniform(0.0, 1.0, 8).tolist(), "class_probs": [0.9, 0.1]} for _ in range(3)]
             fh.write(json.dumps({"preds": exact + noise}) + "\n")
     scored = []
@@ -624,7 +646,6 @@ def test_eval_keypoint_count_mismatch(tiny_cfg_path, tmp_path, capsys):
 def test_eval_model_on_coco_annotations_exit_2(tiny_cfg_path, tmp_path, capsys):
     from poet import model, training
     from poet.config import dump_config, load_config
-    from poet.data import save_coco_keypoints
 
     run = load_config(tiny_cfg_path)
     ckpt = str(tmp_path / "ck.bin")

@@ -13,7 +13,8 @@ from poet.loss import (
     pose_loss,
 )
 from poet.matching import build_cost_matrix, hungarian_assign
-from poet.pose import PoseClass, PoseVector, PredictionSet, PredictionSlot, non_object_pose, pad_targets
+from oracles import non_object_pose
+from poet.pose import PoseClass, PoseVector, PredictionSet, PredictionSlot, pad_targets
 
 W = LossWeights()
 

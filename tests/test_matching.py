@@ -19,14 +19,13 @@ from poet.matching import (
     brute_force_assign,
     build_cost_matrix,
     hungarian_assign,
-    match_cost,
 )
+from oracles import match_cost, non_object_pose
 from poet.pose import (
     PoseClass,
     PoseVector,
     PredictionSet,
     PredictionSlot,
-    non_object_pose,
     pad_targets,
 )
 

@@ -215,7 +215,8 @@ def test_load_detections_jsonl_errors(tmp_path):
 
 
 def test_load_detections_jsonl_equals_from_flat_and_decode_pose(tmp_path):
-    from poet.pose import PoseClass, decode_pose, from_flat
+    from oracles import decode_pose
+    from poet.pose import PoseClass, from_flat
 
     rng = np.random.default_rng(17)
     for trial, k in enumerate((1, 5, 17)):
@@ -235,7 +236,7 @@ def test_load_detections_jsonl_equals_from_flat_and_decode_pose(tmp_path):
             assert len(dets) == len(preds)
             for d, e in zip(dets, preds):
                 kps = decode_pose(from_flat(e["pose"], PoseClass.HUMAN), size)
-                assert d.keypoints.tobytes() == np.array([(kp.x, kp.y) for kp in kps]).tobytes()
+                assert d.keypoints.tobytes() == kps[:, :2].tobytes()
                 assert d.score == e["class_probs"][0]
 
 

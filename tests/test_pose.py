@@ -4,30 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import decode_pose, encode_pose, non_object_pose, to_flat
 from poet.pose import (
-    InstanceAnnotation,
     arrays_from_flat,
-    Keypoint,
     PoseClass,
     PoseVector,
     TooManyInstances,
-    decode_pose,
-    encode_pose,
     encode_targets,
     from_flat,
-    non_object_pose,
     pad_targets,
     target_arrays,
-    to_flat,
 )
 
 
 def ann(kps, w=100, h=100):
-    return InstanceAnnotation([Keypoint(*kp) for kp in kps], (w, h))
+    """One instance's (K, 3) x, y, v rows and its image's (W, H)."""
+    return np.array(kps, dtype=np.float64).reshape(-1, 3), (float(w), float(h))
 
 
 def test_encode_two_visible_keypoints():
-    p = encode_pose(ann([(10, 10, 2), (30, 30, 2)]))
+    p = encode_pose(*ann([(10, 10, 2), (30, 30, 2)]))
     assert p.center == (0.20, 0.20)
     assert p.offsets == pytest.approx((-0.10, -0.10, 0.10, 0.10), abs=1e-15)
     assert p.visibilities == (1.0, 1.0, 1.0, 1.0)
@@ -35,25 +31,25 @@ def test_encode_two_visible_keypoints():
 
 
 def test_encode_single_visible_keypoint_center_coincides():
-    p = encode_pose(ann([(50, 50, 2)]))
+    p = encode_pose(*ann([(50, 50, 2)]))
     assert p.center == (0.5, 0.5)
     assert p.offsets == (0.0, 0.0)
     assert p.visibilities == (1.0, 1.0)
 
 
 def test_encode_all_invisible_becomes_non_object():
-    p = encode_pose(ann([(10, 10, 0), (30, 30, 0)]))
+    p = encode_pose(*ann([(10, 10, 0), (30, 30, 0)]))
     assert p.pose_class is PoseClass.NON_OBJECT
     assert all(v == 0.0 for v in p.visibilities)
 
 
 def test_encode_occluded_flag_counts_as_visible():
-    p = encode_pose(ann([(10, 10, 1), (30, 30, 2)]))
+    p = encode_pose(*ann([(10, 10, 1), (30, 30, 2)]))
     assert p.visibilities == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_encode_invisible_keypoint_masked_offset_zero():
-    p = encode_pose(ann([(10, 10, 2), (99, 99, 0)]))
+    p = encode_pose(*ann([(10, 10, 2), (99, 99, 0)]))
     assert p.offsets[2:] == (0.0, 0.0)
     assert p.visibilities == (1.0, 1.0, 0.0, 0.0)
     assert p.center == (0.1, 0.1)
@@ -62,22 +58,22 @@ def test_encode_invisible_keypoint_masked_offset_zero():
 def test_decode_hand_case():
     p = PoseVector((0.5, 0.5), (0.1, -0.1), (1.0, 1.0), PoseClass.HUMAN)
     (kp,) = decode_pose(p, (200, 100))
-    assert (kp.x, kp.y, kp.v) == (120.0, 40.0, 1)
+    assert kp.tolist() == [120.0, 40.0, 1.0]
 
 
 def test_decode_non_object_all_invisible():
     kps = decode_pose(non_object_pose(3), (64, 64))
-    assert all(kp.v == 0 for kp in kps)
+    assert kps.shape == (3, 3) and not kps[:, 2].any()
 
 
 def test_roundtrip_visible_exact():
-    a = ann([(10.5, 20.25, 2), (77, 3, 1), (50, 50, 0)], w=160, h=90)
-    decoded = decode_pose(encode_pose(a), (160, 90))
-    for orig, back in zip(a.keypoints, decoded):
-        if orig.v > 0:
-            assert back.x == pytest.approx(orig.x, rel=1e-12)
-            assert back.y == pytest.approx(orig.y, rel=1e-12)
-            assert back.v == 1
+    kps, size = ann([(10.5, 20.25, 2), (77, 3, 1), (50, 50, 0)], w=160, h=90)
+    decoded = decode_pose(encode_pose(kps, size), (160, 90))
+    for (x, y, v), back in zip(kps.tolist(), decoded.tolist()):
+        if v > 0:
+            assert back[0] == pytest.approx(x, rel=1e-12)
+            assert back[1] == pytest.approx(y, rel=1e-12)
+            assert back[2] == 1
 
 
 coords = st.floats(min_value=0.5, max_value=99.5, allow_nan=False)
@@ -87,19 +83,19 @@ flags = st.sampled_from([0, 1, 2])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(coords, coords, flags), min_size=1, max_size=8))
 def test_roundtrip_and_center_properties(kp_list):
-    a = ann(kp_list)
-    p = encode_pose(a)
+    kps, size = ann(kp_list)
+    p = encode_pose(kps, size)
     if p.pose_class is PoseClass.NON_OBJECT:
         assert all(v == 0 for v in p.visibilities)
         return
-    decoded = decode_pose(p, a.image_size)
-    vis = [(orig, back) for orig, back in zip(a.keypoints, decoded) if orig.v > 0]
+    decoded = decode_pose(p, size)
+    vis = [(orig, back) for orig, back in zip(kps.tolist(), decoded.tolist()) if orig[2] > 0]
     for orig, back in vis:
-        assert back.x == pytest.approx(orig.x, rel=1e-12, abs=1e-9)
-        assert back.y == pytest.approx(orig.y, rel=1e-12, abs=1e-9)
+        assert back[0] == pytest.approx(orig[0], rel=1e-12, abs=1e-9)
+        assert back[1] == pytest.approx(orig[1], rel=1e-12, abs=1e-9)
     # center definition: mean of visible decoded pixels == center * (W, H)
-    mx = sum(b.x for _, b in vis) / len(vis)
-    my = sum(b.y for _, b in vis) / len(vis)
+    mx = sum(b[0] for _, b in vis) / len(vis)
+    my = sum(b[1] for _, b in vis) / len(vis)
     assert mx == pytest.approx(p.center[0] * 100, rel=1e-12, abs=1e-9)
     assert my == pytest.approx(p.center[1] * 100, rel=1e-12, abs=1e-9)
     # visibility duplication
@@ -110,12 +106,8 @@ def test_roundtrip_and_center_properties(kp_list):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(coords, coords, flags), min_size=1, max_size=6), st.sampled_from([2.0, 3.0, 7.5]))
 def test_scale_covariance(kp_list, s):
-    a = ann(kp_list)
-    scaled = InstanceAnnotation(
-        [Keypoint(kp.x * s, kp.y * s, kp.v) for kp in a.keypoints],
-        (a.image_size[0] * s, a.image_size[1] * s),
-    )
-    pa, pb = encode_pose(a), encode_pose(scaled)
+    kps, (w, h) = ann(kp_list)
+    pa, pb = encode_pose(kps, (w, h)), encode_pose(kps * [s, s, 1.0], (w * s, h * s))
     assert pa.pose_class == pb.pose_class
     np.testing.assert_allclose(pa.center, pb.center, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(pa.offsets, pb.offsets, rtol=1e-12, atol=1e-14)
@@ -123,7 +115,7 @@ def test_scale_covariance(kp_list, s):
 
 
 def test_pad_targets_counts_and_order():
-    humans = [encode_pose(ann([(10 * (i + 1), 10, 2)])) for i in range(2)]
+    humans = [encode_pose(*ann([(10 * (i + 1), 10, 2)])) for i in range(2)]
     ts = pad_targets(humans, 5)
     assert len(ts) == 5
     assert ts.num_humans == 2
@@ -137,28 +129,29 @@ def test_pad_targets_empty_image():
 
 
 def test_pad_targets_thirteen_humans_accepted():
-    humans = [encode_pose(ann([(5 + i, 5, 2)])) for i in range(13)]
+    humans = [encode_pose(*ann([(5 + i, 5, 2)])) for i in range(13)]
     assert pad_targets(humans, 25).num_humans == 13
 
 
 def test_pad_targets_overflow():
-    humans = [encode_pose(ann([(5 + i, 5, 2)])) for i in range(3)]
+    humans = [encode_pose(*ann([(5 + i, 5, 2)])) for i in range(3)]
     with pytest.raises(TooManyInstances):
         pad_targets(humans, 2)
 
 
-def oracle_encode_pose(a: InstanceAnnotation) -> PoseVector:
+def oracle_encode_pose(kps: np.ndarray, size) -> PoseVector:
     """The per-instance encoder as it was written before encode_targets: plain floats, one keypoint at a time."""
-    w, h = a.image_size
-    visible = [kp for kp in a.keypoints if kp.v > 0]
+    w, h = size
+    rows = kps.tolist()
+    visible = [(x, y) for x, y, v in rows if v > 0]
     if not visible:
-        return non_object_pose(a.num_keypoints)
-    cx = sum(kp.x for kp in visible) / len(visible)
-    cy = sum(kp.y for kp in visible) / len(visible)
+        return non_object_pose(len(rows))
+    cx = sum(x for x, _ in visible) / len(visible)
+    cy = sum(y for _, y in visible) / len(visible)
     offsets, vis = [], []
-    for kp in a.keypoints:
-        if kp.v > 0:
-            offsets.extend(((kp.x - cx) / w, (kp.y - cy) / h))
+    for x, y, v in rows:
+        if v > 0:
+            offsets.extend(((x - cx) / w, (y - cy) / h))
             vis.extend((1.0, 1.0))
         else:
             offsets.extend((0.0, 0.0))
@@ -166,9 +159,9 @@ def oracle_encode_pose(a: InstanceAnnotation) -> PoseVector:
     return PoseVector((cx / w, cy / h), offsets, vis, PoseClass.HUMAN)
 
 
-def oracle_targets(anns, k, num_slots):
+def oracle_targets(anns, size, k, num_slots):
     """Arrays of the oracle's human poses in order, then zero rows; as pad_targets lays them out, but 2K wide when empty."""
-    humans = [p for p in map(oracle_encode_pose, anns) if p.is_human]
+    humans = [p for p in (oracle_encode_pose(a, size) for a in anns) if p.is_human]
     human = np.arange(num_slots) < len(humans)
     center, offsets, vis = np.zeros((num_slots, 2)), np.zeros((num_slots, 2 * k)), np.zeros((num_slots, 2 * k))
     for i, p in enumerate(humans):
@@ -186,8 +179,8 @@ def annotated_images(draw):
         kps = draw(st.lists(st.tuples(coord, coord, st.sampled_from([0, 1, 2])), min_size=k, max_size=k))
         if draw(st.integers(0, 3)) == 0:  # an instance with every keypoint unlabeled
             kps = [(x, y, 0) for x, y, _ in kps]
-        anns.append(InstanceAnnotation([Keypoint(*kp) for kp in kps], size))
-    return k, anns, len(anns) + draw(st.integers(0, 3))
+        anns.append(np.array(kps, dtype=np.float64))
+    return k, anns, size, len(anns) + draw(st.integers(0, 3))
 
 
 def _fields(t):
@@ -196,25 +189,32 @@ def _fields(t):
 
 @settings(max_examples=150, deadline=None)
 @given(annotated_images())
-@example((1, [InstanceAnnotation([Keypoint(0.0, -0.0, 1)], (1.0, 1.0))], 1))  # a -0.0 total: sum() gives +0.0
+@example((1, [np.array([[0.0, -0.0, 1.0]])], (1.0, 1.0), 1))  # a -0.0 total: sum() gives +0.0
 def test_encode_targets_holds_the_per_instance_encoders_bits(case):
-    k, anns, num_slots = case
-    humans, expected = oracle_targets(anns, k, num_slots)
-    got = encode_targets(anns, k, num_slots)
+    k, anns, size, num_slots = case
+    humans, expected = oracle_targets(anns, size, k, num_slots)
+    got = encode_targets(np.array(anns).reshape(-1, k, 3), size, num_slots)
     for want, have in zip(expected, _fields(got)):
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes()
     if humans:  # pad_targets, the PoseVector boundary, gives the same arrays
         assert all(a.tobytes() == b.tobytes() for a, b in zip(_fields(pad_targets(humans, num_slots)), expected))
-    assert [encode_pose(a) for a in anns] == [oracle_encode_pose(a) for a in anns]
+    assert [encode_pose(a, size) for a in anns] == [oracle_encode_pose(a, size) for a in anns]
 
 
 def test_encode_targets_of_an_image_without_annotations():
-    t = encode_targets([], 17, 3)
+    t = encode_targets(np.zeros((0, 17, 3)), (0.0, 0.0), 3)  # no instance: the size is not read
     assert len(t) == 3 and t.num_humans == 0 and t.offsets.shape == (3, 34)
     assert not any(f.any() for f in _fields(t))
     with pytest.raises(TooManyInstances):
-        encode_targets([ann([(1, 1, 2)]), ann([(2, 2, 1)])], 1, 1)
+        encode_targets(np.array([[[1.0, 1.0, 2.0]], [[2.0, 2.0, 1.0]]]), (100.0, 100.0), 1)
+
+
+@pytest.mark.parametrize("size", [(0.0, 64.0), (64.0, -1.0)])
+def test_encode_targets_rejects_a_size_that_is_not_positive(size):
+    hidden = np.array([[[5.0, 5.0, 0.0]]])  # checked for any instance, a hidden one too
+    with pytest.raises(ValueError, match=re.escape(f"image size must be positive, got {size}")):
+        encode_targets(hidden, size, 1)
 
 
 def test_pose_vector_validation():
@@ -227,7 +227,7 @@ def test_pose_vector_validation():
 
 
 def test_flat_serialization_roundtrip():
-    p = encode_pose(ann([(10, 10, 2), (30, 50, 0), (60, 20, 1)]))
+    p = encode_pose(*ann([(10, 10, 2), (30, 50, 0), (60, 20, 1)]))
     flat = to_flat(p)
     assert len(flat) == 2 + 3 * 3
     assert flat[:2] == list(p.center)

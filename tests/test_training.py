@@ -312,8 +312,8 @@ def test_detections_threshold_and_topk():
 
 def _slot_path_detections(params, cfg, dataset, score_threshold, top_k, batch_size):
     """Per-layer detections through prediction-slot objects and decode_pose, one slot at a time."""
+    from oracles import decode_pose
     from poet.data import batch_iter
-    from poet.pose import decode_pose
 
     cparams = model.constant_params(params)
     per_layer = [[] for _ in range(cfg.dec_layers)]
@@ -326,10 +326,8 @@ def _slot_path_detections(params, cfg, dataset, score_threshold, top_k, batch_si
                     chosen = [slots[j] for j in sorted(range(len(slots)), key=lambda j: (-slots[j].score, j))[:top_k]]
                 else:
                     chosen = [slot for slot in slots if slot.score >= score_threshold]
-                size = training._sample_size(dataset, batch.indices[b])
-                per_layer[li].append(
-                    [Detection([(kp.x, kp.y) for kp in decode_pose(slot.pose, size)], slot.score) for slot in chosen]
-                )
+                size = dataset.samples[batch.indices[b]].size
+                per_layer[li].append([Detection(decode_pose(slot.pose, size)[:, :2], slot.score) for slot in chosen])
     return per_layer
 
 
@@ -563,7 +561,7 @@ def test_dataset_loss_matches_per_image_reference_loss():
 def test_evaluate_images_with_more_people_than_slots():
     run = parse_config(TINY_CFG_TEXT + "synth.max_instances = 9\nsynth.min_instances = 9\n")
     dataset = synth_generate(run.synth)
-    assert min(len(s.annotations) for s in dataset.samples) > run.model.num_queries
+    assert min(len(s.keypoints) for s in dataset.samples) > run.model.num_queries
     final, per_layer = evaluate(model.init_params(run.model, 1), run.model, dataset, score_threshold=0.0)
     assert len(per_layer) == run.model.dec_layers
     assert final == per_layer[-1] and final.ap is not None
@@ -666,6 +664,7 @@ def test_train_run_rejects_overfull_synth(tmp_path):
 
 
 def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
+    from oracles import match_cost
     from poet import matching
     from poet.data import batch_iter
 
@@ -684,7 +683,7 @@ def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
         want = matching.build_cost_matrix(targets, preds, run.loss).entries
         assert got.tobytes() == want.tobytes()
         for i, target in enumerate(targets):
-            assert [got[i, j] for j in range(len(preds))] == [matching.match_cost(target, p, run.loss) for p in preds]
+            assert [got[i, j] for j in range(len(preds))] == [match_cost(target, p, run.loss) for p in preds]
         expected.append(matching.hungarian_assign(want))
     assert training._batch_assignments(batch, outputs, run.loss) == expected
 
