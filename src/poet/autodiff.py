@@ -35,6 +35,10 @@ class TapeConsumed(RuntimeError):
     """backward() was already called once on this tape."""
 
 
+class NotALeaf(ValueError):
+    """A gradient was asked for a tensor computed on the tape; backward keeps only the leaves'."""
+
+
 class _Node:
     __slots__ = ("input_ids", "vjps")
 
@@ -455,14 +459,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
 
 
 class Gradients:
-    """Result of a backward pass, indexable by tensor."""
+    """Result of a backward pass, indexable by tape leaf."""
 
-    def __init__(self, acc: list):
+    def __init__(self, acc: list, leaves: list[bool]):
         self._acc = acc
+        self._leaves = leaves
 
     def wrt(self, t: Tensor) -> np.ndarray:
         if t.tape is None or t.node_id is None:
             raise NotRecorded("tensor was never recorded on a tape")
+        if not self._leaves[t.node_id]:
+            raise NotALeaf(f"node {t.node_id} is computed on the tape; only the gradients of leaves are kept")
         g = self._acc[t.node_id]
         return np.zeros(t.shape) if g is None else g
 
@@ -475,11 +482,12 @@ def _accumulate(acc: list, iid: int, vjp: Callable, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor, lane=None) -> Gradients:
-    """Accumulate d(loss)/d(node) for every tape node, in one reverse sweep.
+    """Accumulate d(loss)/d(node) for every tape node, in one reverse sweep, and keep the leaves'.
 
-    With a lane (an executor of one worker thread), each VJP into a tape leaf runs there with its
-    addition into the leaf's gradient, which nothing later in the sweep reads. The one worker adds
-    them in the order the sweep submits them, so the gradients are the same bit for bit.
+    Each other node's gradient is dropped once its VJPs have run. With a lane (an executor of one
+    worker thread), each VJP into a tape leaf runs there with its addition into the leaf's gradient,
+    which nothing later in the sweep reads. The one worker adds them in the order the sweep submits
+    them, so the gradients are the same bit for bit.
     """
     if loss.tape is None:
         raise NotRecorded("loss tensor is not recorded on a tape")
@@ -494,6 +502,7 @@ def backward(loss: Tensor, lane=None) -> Gradients:
     # forward activations, and tensors, tape and closures form reference
     # cycles that would otherwise wait for the cyclic collector
     nodes = tape.nodes
+    leaves = [not node.input_ids for node in nodes]
     acc: list = [None] * len(nodes)
     acc[loss.node_id] = np.ones_like(loss.data)
     on_lane = []
@@ -502,6 +511,8 @@ def backward(loss: Tensor, lane=None) -> Gradients:
         g = acc[nid]
         if g is None:
             continue
+        if not leaves[nid]:
+            acc[nid] = None
         for iid, vjp in zip(node.input_ids, node.vjps):
             if iid is None:
                 continue
@@ -512,7 +523,7 @@ def backward(loss: Tensor, lane=None) -> Gradients:
     nodes[loss.node_id + 1 :] = [_SPENT] * (len(nodes) - loss.node_id - 1)
     for done in on_lane:
         done.result()
-    return Gradients(acc)
+    return Gradients(acc, leaves)
 
 
 def finite_diff(f: Callable[[Tensor], float], x, eps: float = 1e-4) -> Tensor:

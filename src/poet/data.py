@@ -142,17 +142,19 @@ def render_image(keypoints: np.ndarray, image_size, spec: RenderSpec) -> np.ndar
 
 @dataclass(frozen=True)
 class Batch:
-    images: np.ndarray  # (B, C, H, W)
+    images: np.ndarray | None  # (B, C, H, W), or only one half's images, or None for an empty half
     targets: list[TargetSet]
     num_humans: int
     indices: tuple[int, ...]
 
 
-def batch_iter(dataset: Dataset, batch_size: int, shuffle_seed: int | None, num_slots: int) -> Iterator[Batch]:
+def batch_iter(dataset: Dataset, batch_size: int, shuffle_seed: int | None, num_slots: int, half: int | None = None) -> Iterator[Batch]:
     """Deterministic shuffled batches; the last partial batch is kept.
 
     Each batch carries its human count (slots whose encoded class is human)
-    for loss normalization.
+    for loss normalization. With half 0 or 1, only the images of the batch's
+    first ceil(b/2) samples or of the rest, which may be none, are rendered
+    and stacked; the targets, count and indices stay the whole batch's.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -160,11 +162,13 @@ def batch_iter(dataset: Dataset, batch_size: int, shuffle_seed: int | None, num_
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(len(dataset))
     for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        images = np.stack([dataset.image(int(i)) for i in chunk])
-        targets = [encode_targets(dataset.samples[i].keypoints, dataset.samples[i].size, num_slots) for i in chunk.tolist()]
+        chunk = order[start : start + batch_size].tolist()
+        cut = -(-len(chunk) // 2)
+        shown = chunk if half is None else chunk[:cut] if half == 0 else chunk[cut:]
+        images = np.stack([dataset.image(i) for i in shown]) if shown else None
+        targets = [encode_targets(dataset.samples[i].keypoints, dataset.samples[i].size, num_slots) for i in chunk]
         num_humans = sum(t.num_humans for t in targets)
-        yield Batch(images, targets, num_humans, tuple(int(i) for i in chunk))
+        yield Batch(images, targets, num_humans, tuple(chunk))
 
 
 def filter_for_training(dataset: Dataset, max_instances: int) -> tuple[Dataset, int, int]:

@@ -305,7 +305,9 @@ def load_detections_jsonl(
 
     Each line holds {"preds": [{"pose": [...], "class_probs": [p_human, p_non]}]}
     with normalized flat poses; select_detections keeps each line's slots by
-    the threshold or top-k rule and decodes them with the image's size.
+    the threshold or top-k rule and decodes them with the image's size. A
+    p_human, center or offset that is NaN or infinite raises ValueError
+    naming the file, the line and the entry.
     """
     records = read_records(path, "preds")
     if len(records) > len(image_sizes):
@@ -316,6 +318,10 @@ def load_detections_jsonl(
             score, center, offsets, _ = prediction_arrays(entries)
         except ValueError as e:
             raise ValueError(f"{path}:{line_no}: {e}") from e
+        for what, values in (("p_human", score[:, None]), ("center", center), ("offsets", offsets)):
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{path}:{line_no}: preds: entry {bad[0]}: {what} must be finite")
         per_image += select_detections(score[None], center[None], offsets[None], [size], score_threshold, top_k)
     return per_image
 
@@ -324,8 +330,8 @@ def load_detections_coco(path: str, image_ids: Sequence[int]) -> list[list[Detec
     """Read a COCO results-format list of keypoint detections, grouped by image id.
 
     An entry that is not an object, or whose fields are missing, null or not
-    numbers, or whose score is NaN or infinite, raises ParseError naming the
-    file and the entry's index.
+    numbers, or whose score or keypoints hold a NaN or infinite number, raises
+    ParseError naming the file and the entry's index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
@@ -339,12 +345,16 @@ def load_detections_coco(path: str, image_ids: Sequence[int]) -> list[list[Detec
             img = int(entry["image_id"])
             if img in by_image:
                 triplets = np.asarray(entry["keypoints"], dtype=np.float64).reshape(-1, 3)
+                if not np.isfinite(triplets).all():
+                    raise ParseError(f"{path}: entry {pos}: keypoints must be finite numbers")
                 det = Detection(triplets[:, :2], entry.get("score", 1.0))
                 if not np.isfinite(det.score):
                     raise ParseError(f"{path}: entry {pos}: score must be finite, got {det.score}")
                 by_image[img].append(det)
         except KeyError as e:
             raise ParseError(f"{path}: entry {pos} has no {e.args[0]!r}") from e
+        except ParseError:
+            raise
         except (TypeError, ValueError) as e:  # a null or non-numeric value where a number belongs
             raise ParseError(f"{path}: entry {pos}: {e}") from e
     return [by_image[int(i)] for i in image_ids]

@@ -1,18 +1,21 @@
 """End-to-end optimization: batching, matching, loss, AdamW, logging, checkpoints.
 
-Each batch runs a tape-recorded forward pass, builds cost matrices from the
-detached head-output arrays (matching never records tape nodes), solves the
-assignment per image, evaluates the Hungarian loss at that fixed assignment,
-and applies a clipped AdamW update with separate backbone/transformer
-learning rates. Epoch-level randomness (shuffle, dropout) derives from
-(seed, stream, epoch), so runs are reproducible and resumable.
+Each batch, or each half of it for a small model, runs a tape-recorded
+forward pass, builds cost matrices from the detached head-output arrays
+(matching never records tape nodes) and solves the assignment per image; the
+batch's Hungarian loss is evaluated at those fixed assignments, and a clipped
+AdamW update with separate backbone/transformer learning rates is applied.
+Epoch-level randomness (shuffle, dropout) derives from (seed, stream, epoch),
+so runs are reproducible and resumable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +170,7 @@ def effective_lr(base: float, schedule: ScheduleConfig, epoch: int) -> float:
 # epoch loops
 
 
-def _batch_assignments(batch: Batch, outputs: dict[str, ad.Tensor], weights: LossWeights):
+def _batch_assignments(targets, outputs: dict[str, ad.Tensor], weights: LossWeights):
     """Per-image assignments from the detached head outputs; nothing is recorded on a tape."""
     human = outputs["class_probs"].data[..., 0]
     center, offsets, vis = (outputs[key].data for key in ("center", "offsets", "visibility"))
@@ -177,7 +180,7 @@ def _batch_assignments(batch: Batch, outputs: dict[str, ad.Tensor], weights: Los
                 t.human, t.center, t.offsets, t.visibilities, human[b], center[b], offsets[b], vis[b], weights
             )
         )
-        for b, t in enumerate(batch.targets)
+        for b, t in enumerate(targets)
     ]
 
 
@@ -206,9 +209,11 @@ def apply_gradients(
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
-# the fewest parameters a model trains on the lane with: on 2 cores at 1 BLAS thread, synth_tiny-shaped
-# models of 224K and 347K parameters took 5-12 % longer per epoch with it, of 497K and 878K 10-23 % less
-LANE_MIN_PARAMS = 1 << 19
+# the fewest parameters a model trains on the lane with, in whole batches; smaller ones split each batch
+# between two processes. On 2 cores at 1 BLAS thread, synth_tiny-shaped models of 224K-1.75M parameters
+# took 0.67-0.82 times the lane's epoch time with the worker, of 4.4M 0.93, and paper_scale's 9.4M tied,
+# while each process's three gradient-sized buffers (two shared, one sum) cost 24 bytes per parameter
+LANE_MIN_PARAMS = 1 << 22
 
 
 def _free_cores() -> int:
@@ -222,29 +227,131 @@ def _free_cores() -> int:
 
 
 def _train_step(
-    params: dict[str, np.ndarray], optim: OptimState, batch: Batch, run: RunConfig, rng, lr_t: float, lr_b: float, lane, held: list
+    params: dict[str, np.ndarray], optim: OptimState, batch: Batch, images: list, run: RunConfig, rngs: list,
+    lr_t: float, lr_b: float, held: list, summed: dict | None = None, peer: "_Peer | None" = None, lane=None,
 ) -> LossBreakdown:
-    """Forward, matching, loss, backward and update on one batch.
+    """Forward, matching, loss, backward and update on one batch, whole or as two halves (see batch_iter).
+
+    images holds the whole batch's images, or each half's: None where the peer runs that half or it is empty.
+    Each half is forwarded on its own copy of the parameter leaves, with its own rng, and matched on its
+    own images. The loss is the whole batch's, over the halves' outputs in order, so each half's gradient
+    is what it adds to the batch's, and the update takes their sum, first + second. A peer is sent this
+    process's head outputs and assignments, then its gradients, and sends its own: they enter the loss as
+    constants and the sum from a shared buffer.
 
     held carries the last step's gradients into this step, is emptied just before this step's backward,
     which reuses their space, and then holds this step's. Freed at the end of each step instead, they
     left a free heap top that was handed back to the system and faulted in again by every step; held
     through the backward as well, they raised the peak memory.
     """
+    cut = -(-len(batch.targets) // 2) if len(images) == 2 else len(batch.targets)
+    targets = [batch.targets[:cut], batch.targets[cut:]]
     tape = ad.Tape()
-    watched = model.watch_params(tape, params)
-    outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=rng)
-    nodes_before = len(tape)
-    assignments = _batch_assignments(batch, outputs, run.loss)
-    if len(tape) != nodes_before:
-        raise RuntimeError("matching must not record tape nodes")
-    total, breakdown = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
-    held.clear()
-    grads = ad.backward(total, lane=lane)
-    grad_arrays = {name: grads.wrt(t) for name, t in watched.items()}
+    watched, outputs, assignments = {}, {}, {}
+    for h, x in enumerate(images):
+        if x is not None:
+            watched[h] = model.watch_params(tape, params)
+            outputs[h], _ = model.model_forward(ad.Tensor(x), watched[h], run.model, train=True, rng=rngs[h])
+            nodes_before = len(tape)
+            assignments[h] = _batch_assignments(targets[h], outputs[h], run.loss)
+            if len(tape) != nodes_before:
+                raise RuntimeError("matching must not record tape nodes")
+    if peer is not None:
+        got = peer.swap({h: ({key: t.data for key, t in outputs[h].items()}, assignments[h]) for h in watched})
+        for h, (arrays, assigned) in got.items():
+            outputs[h], assignments[h] = {key: ad.Tensor(a) for key, a in arrays.items()}, assigned
+    halves = sorted(outputs)
+    whole = {key: ad.concat([outputs[h][key] for h in halves], axis=0) for key in outputs[0]} if len(halves) > 1 else outputs[0]
+    total, breakdown = hungarian_loss_graph(batch.targets, whole, [a for h in halves for a in assignments[h]], run.loss, batch.num_humans)
+    grads = {}
+    if watched:
+        held.clear()
+        swept = ad.backward(total, lane=lane)
+        held.append(swept)
+        grads = {h: {name: swept.wrt(t) for name, t in w.items()} for h, w in watched.items()}
+    if peer is not None:
+        grads.update(peer.swap_gradients(grads))
+    grad_arrays = grads[0]
+    if 1 in grads:  # an empty second half adds nothing, not even the +0.0 that would turn -0.0 into +0.0
+        grad_arrays = {name: np.add(g, grads[1][name], out=summed[name]) for name, g in grad_arrays.items()}
     apply_gradients(params, grad_arrays, optim, float(total.data), run.optim.clip_norm, lr_t, lr_b, lane=lane)
-    held.append(grads)
     return breakdown
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of consecutive ranges of a flat array, one per array of like, with its name and shape."""
+    bounds = np.cumsum([0] + [a.size for a in like.values()]).tolist()
+    return {name: flat[lo:hi].reshape(a.shape) for (name, a), lo, hi in zip(like.items(), bounds, bounds[1:])}
+
+
+class _Peer:
+    """The other process of an epoch split in two: a pipe to it, and a shared gradient buffer per half.
+
+    A process writes its buffer only after it has received the other's head outputs of the same step,
+    which the other sends only once it has read this buffer for the step before. The first process
+    sends before it receives and the other after, so neither waits on a full pipe.
+    """
+
+    def __init__(self, conn, buffers: list[dict[str, np.ndarray]], first: bool):
+        self.conn, self.buffers, self.first = conn, buffers, first
+
+    def swap(self, mine: dict) -> dict:
+        """Send {half: value} for this process's halves and return the other process's."""
+        try:
+            if self.first:
+                self.conn.send(mine)
+            got = self.conn.recv()
+            if not self.first:
+                self.conn.send(mine)
+        except (EOFError, OSError):  # the other end is closed, or reset by a process that died with messages unread
+            got = self._last_message()
+        if isinstance(got, str):
+            raise TrainBatchError(f"second half: {got}")
+        return got
+
+    def _last_message(self) -> str:
+        """The failure a process that has exited sent before it went, if it is still there to read."""
+        with contextlib.suppress(EOFError, OSError):
+            if self.conn.poll():
+                got = self.conn.recv()
+                if isinstance(got, str):
+                    return got
+        raise TrainBatchError("the second-half worker exited before sending its half")
+
+    def swap_gradients(self, grads: dict) -> dict:
+        """swap for {half: gradients}, which go by the shared buffers."""
+        for half, arrays in grads.items():
+            for name, view in self.buffers[half].items():
+                view[...] = arrays[name]
+        return {half: self.buffers[half] for half in self.swap(dict.fromkeys(grads))}
+
+
+def _steps(params, optim: OptimState, dataset: Dataset, run: RunConfig, epoch: int, local: tuple | None, peer: _Peer | None = None, lane=None):
+    """Yield each step's loss breakdown, of whole batches when local is None, else of split ones.
+
+    This process runs the halves in local, each with its own dropout stream. With a peer, both processes
+    apply the same update to their own copies of the parameters and moments.
+    """
+    stream = [run.seed, _DROPOUT_STREAM, epoch]
+    rngs = [np.random.default_rng(stream if local is None else stream + [h]) for h in range(1 if local is None else 2)]
+    lr_t, lr_b = (effective_lr(lr, run.schedule, epoch) for lr in (run.optim.lr_transformer, run.optim.lr_backbone))
+    summed = None if local is None else _flat_views(np.empty(sum(p.size for p in params.values())), params)
+    held = []
+    batches = partial(batch_iter, dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries)
+    for own in zip(*(batches(h) for h in local or (None,))):
+        images = [own[0].images] if local is None else [own[local.index(h)].images if h in local else None for h in (0, 1)]
+        yield _train_step(params, optim, own[0], images, run, rngs, lr_t, lr_b, held, summed, peer, lane)
+
+
+def _second_half_worker(conn, parent_end, params, optim, dataset, run, epoch, buffers) -> None:
+    """train_epoch's forked worker: the second half of every batch and the same updates; a failure is sent as its message."""
+    parent_end.close()  # so that the parent's exit reads as the end of the pipe
+    try:
+        for _ in _steps(params, optim, dataset, run, epoch, (1,), _Peer(conn, buffers, first=False)):
+            pass
+    except Exception as e:
+        with contextlib.suppress(OSError):  # the parent may be gone
+            conn.send(f"{type(e).__name__}: {e}")
 
 
 def train_epoch(
@@ -256,37 +363,58 @@ def train_epoch(
 ) -> LossBreakdown:
     """One pass over the dataset; returns the mean per-batch loss breakdown.
 
-    When _free_cores leaves a second caller of BLAS room and the model has LANE_MIN_PARAMS parameters or
-    more, the VJPs into the parameters and half of the optimizer sweep run on a lane thread, which numpy's
-    release of the GIL lets use another core. The results are the same bit for bit; the thread is gone
-    when this returns or raises.
+    A model of fewer than LANE_MIN_PARAMS parameters takes each step's gradient as the sum of two
+    half-batches' (see _train_step). When _free_cores leaves a second caller of BLAS room, a forked
+    worker runs the second halves, and this process the first. A larger model takes whole-batch steps,
+    and with a free core the VJPs into the parameters and half of the optimizer sweep run on a lane
+    thread, which numpy's release of the GIL lets use another core. Neither the worker nor the lane
+    changes a bit of the results, and both are gone when this returns or raises.
     """
-    dropout_rng = np.random.default_rng([run.seed, _DROPOUT_STREAM, epoch])
-    lr_t = effective_lr(run.optim.lr_transformer, run.schedule, epoch)
-    lr_b = effective_lr(run.optim.lr_backbone, run.schedule, epoch)
-    breakdowns = []
-    lane = None
-    if _free_cores() > 1 and sum(p.size for p in params.values()) >= LANE_MIN_PARAMS:
-        from concurrent.futures import ThreadPoolExecutor  # only here: a run without a lane does without it
-
-        lane = ThreadPoolExecutor(1, thread_name_prefix="poet-lane")
+    two = _free_cores() > 1
+    size = sum(p.size for p in params.values())
+    lane = worker = None
     try:
-        held = []
-        for bi, batch in enumerate(batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries)):
-            try:
-                breakdowns.append(_train_step(params, optim, batch, run, dropout_rng, lr_t, lr_b, lane, held))
-            except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
-                raise TrainBatchError(f"epoch {epoch} batch {bi}: {e}") from e
+        if size >= LANE_MIN_PARAMS:
+            if two:
+                from concurrent.futures import ThreadPoolExecutor  # only here: a run without a lane does without it
+
+                lane = ThreadPoolExecutor(1, thread_name_prefix="poet-lane")
+            steps = _steps(params, optim, dataset, run, epoch, None, lane=lane)
+        elif two:
+            import mmap  # only here, as the worker: their imports are a share of a short run's set-up
+            import multiprocessing
+
+            # anonymous and shared with the worker forked after it: one gradient buffer per half
+            flat = np.frombuffer(mmap.mmap(-1, 2 * 8 * size), dtype=np.float64).reshape(2, size)
+            buffers = [_flat_views(flat[h], params) for h in range(2)]
+            ctx = multiprocessing.get_context("fork")  # the worker starts from this process's parameters, moments and dataset
+            conn, worker_end = ctx.Pipe()
+            worker = ctx.Process(target=_second_half_worker, args=(worker_end, conn, params, optim, dataset, run, epoch, buffers))
+            worker.start()
+            worker_end.close()
+            steps = _steps(params, optim, dataset, run, epoch, (0,), _Peer(conn, buffers, first=True))
+        else:
+            steps = _steps(params, optim, dataset, run, epoch, (0, 1))
+        breakdowns = []
+        try:
+            for breakdown in steps:
+                breakdowns.append(breakdown)
+        except (matching.NonFiniteEntry, matching.SizeMismatch, ad.ShapeMismatch, ValueError, TrainBatchError) as e:
+            raise TrainBatchError(f"epoch {epoch} batch {len(breakdowns)}: {e}") from e
     finally:
         if lane is not None:
             lane.shutdown(cancel_futures=True)  # waits for the task it is running
+        if worker is not None:  # done once the last step is swapped, and no longer wanted if this raised
+            worker.terminate()
+            worker.join()
+            conn.close()
     if not breakdowns:
         raise TrainBatchError(f"epoch {epoch}: dataset produced no batches")
     return _mean_breakdown(breakdowns)
 
 
 def _batch_loss(batch: Batch, outputs: dict[str, ad.Tensor], weights: LossWeights) -> LossBreakdown:
-    assignments = _batch_assignments(batch, outputs, weights)
+    assignments = _batch_assignments(batch.targets, outputs, weights)
     return hungarian_loss_graph(batch.targets, outputs, assignments, weights, batch.num_humans)[1]
 
 

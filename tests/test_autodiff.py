@@ -432,3 +432,38 @@ def test_backward_on_a_lane_runs_exactly_the_leaf_vjps_there(lane):
         iid: {True} for iid in plain_on_main if iid not in leaves
     }
     assert all(seen == {True} for seen in plain_on_main.values())
+
+
+def test_gradient_of_an_intermediate_tensor_raises():
+    tape = ad.Tape()
+    x = tape.leaf(np.array([1.0, -2.0]))
+    y = ad.mul(x, ad.Tensor(np.array([3.0, 4.0])))
+    loss = ad.reduce_sum(ad.mul(y, y))
+    late, unused = ad.mul(x, x), tape.leaf(np.ones(3))  # recorded after the loss, so given no gradient
+    grads = ad.backward(loss)
+    np.testing.assert_array_equal(grads.wrt(x), [18.0, -64.0])
+    assert grads.wrt(unused).tobytes() == np.zeros(3).tobytes()
+    for t in (y, loss, late):
+        with pytest.raises(ad.NotALeaf, match=f"node {t.node_id} is computed on the tape"):
+            grads.wrt(t)
+
+
+def test_backward_keeps_only_the_leaf_gradients():
+    n = 50_000  # 400 KB per array; six intermediate gradients of that size would be kept besides the leaf's
+    tape = ad.Tape()
+    x = tape.leaf(np.linspace(-1.0, 1.0, n))
+    scale = ad.Tensor(np.full(n, 1.5))
+    h = x
+    for _ in range(6):
+        h = ad.mul(h, scale)
+    loss = ad.reduce_sum(ad.mul(h, h))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = ad.backward(loss)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    leaf = grads.wrt(x)
+    assert leaf.nbytes <= kept < leaf.nbytes + 100_000, kept

@@ -280,6 +280,9 @@ MALFORMED_EVAL = {
     "eval-fewer-lines-than-images": ([{"preds": GOOD_PREDS}], "image counts differ"),
     "eval-keypoint-count-differs": ([{"preds": [{"pose": [0.5] * 5, "class_probs": [0.7, 0.3]}]}] * VAL_IMAGES, "keypoint counts differ"),
     "eval-line-without-preds": ([{"pred": GOOD_PREDS}] * VAL_IMAGES, "p.jsonl:1: expected an object with a 'preds' list"),
+    "eval-nan-p-human": ([{"preds": GOOD_PREDS}, {"preds": _with(GOOD_PREDS, 1, class_probs=[math.nan, 0.5])}] * 5, "p.jsonl:2: preds: entry 1: p_human must be finite"),
+    "eval-nan-center": ([{"preds": _with(GOOD_PREDS, 0, pose=[math.nan] + GOOD_PREDS[0]["pose"][1:])}] * VAL_IMAGES, "p.jsonl:1: preds: entry 0: center must be finite"),
+    "eval-infinite-offset": ([{"preds": GOOD_PREDS}] * 9 + [{"preds": _with(GOOD_PREDS, 1, pose=GOOD_PREDS[1]["pose"][:5] + [-math.inf, 0.0, 0.3])}], "p.jsonl:10: preds: entry 1: offsets must be finite"),
 }
 
 
@@ -419,6 +422,8 @@ MALFORMED_COCO = {
     "area-infinity": ({**GOOD_COCO, "annotations": [{**GOOD_COCO_ANN, "area": math.inf}]}, [GOOD_RESULT], "ann.json.annotations[0]: area must be finite"),
     "result-score-nan": (GOOD_COCO, [GOOD_RESULT, {**GOOD_RESULT, "score": math.nan}], "results.json: entry 1: score must be finite"),
     "result-score-infinity": (GOOD_COCO, [{**GOOD_RESULT, "score": -math.inf}], "results.json: entry 0: score must be finite"),
+    "result-keypoint-nan": (GOOD_COCO, [GOOD_RESULT, {**GOOD_RESULT, "keypoints": [10, math.nan, 1, 20, 30, 1]}], "results.json: entry 1: keypoints must be finite numbers"),
+    "result-keypoint-infinity": (GOOD_COCO, [{**GOOD_RESULT, "keypoints": [10, 12, 1, math.inf, 30, 1]}], "results.json: entry 0: keypoints must be finite numbers"),
     "file-is-an-array": ([1, 2], [GOOD_RESULT], "ann.json: expected a JSON object with the field 'images', got list"),
 }
 

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import threading
 import weakref
 from pathlib import Path
@@ -540,7 +542,7 @@ def test_dataset_loss_matches_per_image_reference_loss():
     batches = []
     for batch in batch_iter(dataset, run.train.batch_size, None, run.model.num_queries):
         outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, run.model, train=False)
-        assignments = training._batch_assignments(batch, outputs, run.loss)
+        assignments = training._batch_assignments(batch.targets, outputs, run.loss)
         per_image = [
             hungarian_loss(t, p, a, run.loss, batch.num_humans, num_images_in_batch=len(batch.targets))
             for t, p, a in zip(batch.targets, model.slots_from_outputs(outputs, run.model), assignments)
@@ -567,8 +569,9 @@ def test_evaluate_images_with_more_people_than_slots():
     assert final == per_layer[-1] and final.ap is not None
 
 
-def test_train_run_one_forward_per_batch_and_no_slot_objects(tmp_path, monkeypatch):
-    run = tiny_run()
+def test_train_run_one_forward_per_half_batch_and_no_slot_objects(tmp_path, monkeypatch):
+    monkeypatch.setattr(training, "_free_cores", lambda: 1)  # both halves in this process, where they are counted
+    run = parse_config("synth.num_samples = 25\n", base=tiny_run())  # a last batch of 1, with an empty second half
     modes = []
     forward = model.model_forward
 
@@ -585,7 +588,9 @@ def test_train_run_one_forward_per_batch_and_no_slot_objects(tmp_path, monkeypat
     kept = run.synth.num_samples - summary["dropped_empty"] - summary["dropped_overfull"]
     evals = sum(1 for line in (tmp_path / "run" / "losses.csv").read_text().splitlines() if ",val," in line)
     assert evals == run.schedule.epochs
-    assert modes.count(True) == run.schedule.epochs * -(-kept // run.train.batch_size)
+    sizes = [min(run.train.batch_size, kept - start) for start in range(0, kept, run.train.batch_size)]
+    assert sizes[-1] == 1
+    assert modes.count(True) == run.schedule.epochs * sum(1 + (size > 1) for size in sizes)
     assert modes.count(False) == evals * -(-run.train.val_samples // run.train.batch_size)
 
 
@@ -685,7 +690,7 @@ def test_training_cost_matrix_equals_build_cost_matrix_bit_for_bit():
         for i, target in enumerate(targets):
             assert [got[i, j] for j in range(len(preds))] == [match_cost(target, p, run.loss) for p in preds]
         expected.append(matching.hungarian_assign(want))
-    assert training._batch_assignments(batch, outputs, run.loss) == expected
+    assert training._batch_assignments(batch.targets, outputs, run.loss) == expected
 
 
 @pytest.mark.parametrize("on_lane", [False, True])
@@ -848,7 +853,7 @@ def test_backward_on_a_lane_equals_the_sweep_on_the_desk_training_loss(lane):
         tape = ad.Tape()
         watched = model.watch_params(tape, params)
         outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=np.random.default_rng(0))
-        assignments = training._batch_assignments(batch, outputs, run.loss)
+        assignments = training._batch_assignments(batch.targets, outputs, run.loss)
         total, _ = hungarian_loss_graph(batch.targets, outputs, assignments, run.loss, batch.num_humans)
         grads = ad.backward(total, lane=executor)
         got.append({name: grads.wrt(t).tobytes() for name, t in watched.items()})
@@ -917,7 +922,10 @@ def test_the_lane_opens_only_for_a_model_of_lane_min_params_or_more(monkeypatch)
         assert seen and [on_lane for _, on_lane in seen] == [lane] * len(seen)
 
 
-def test_each_steps_gradients_live_through_the_next_forward_and_no_further(monkeypatch):
+@pytest.mark.parametrize("split", [True, False])
+def test_each_steps_gradients_live_through_the_next_forward_and_no_further(split, monkeypatch):
+    monkeypatch.setattr(training, "_free_cores", lambda: 1)
+    monkeypatch.setattr(training, "LANE_MIN_PARAMS", training.LANE_MIN_PARAMS if split else 0)
     run = tiny_run()  # 24 samples in batches of 8
     dataset = synth_generate(run.synth)
     params = model.init_params(run.model, run.seed)
@@ -937,6 +945,183 @@ def test_each_steps_gradients_live_through_the_next_forward_and_no_further(monke
     monkeypatch.setattr(model, "model_forward", spy_forward)
     monkeypatch.setattr(ad, "backward", spy_backward)
     train_epoch(params, init_optim_state(params, run.optim), dataset, run, epoch=1)
-    assert alive_at_forward == [[], [True], [False, True]]
+    per_step = 2 if split else 1  # forwards: one per half, both before the step's one backward
+    assert alive_at_forward == [s for s in ([], [True], [False, True]) for _ in range(per_step)]
     assert alive_at_backward == [[], [False], [False, False]]
     assert [ref() for ref in made] == [None, None, None]
+
+
+# ---------------------------------------------------------------------------
+# two half-batches per step: the same numbers with a forked worker as in one process
+
+
+def _desk_epochs(monkeypatch, free_cores: int, num_samples: int):
+    """Two epochs of the desk model with dropout 0.1: (params, optim, breakdowns, batch sizes, forwards in this process).
+
+    Each forward in this process also checks that it has free_cores - 1 children.
+    """
+    import multiprocessing
+
+    from poet.data import filter_for_training
+
+    monkeypatch.setattr(training, "_free_cores", lambda: free_cores)
+    run = parse_config(f"synth.num_samples = {num_samples}\nmodel.dropout = 0.1\noptim.clip_norm = 300\n", base=_desk_run())
+    dataset, _, _ = filter_for_training(synth_generate(run.synth), run.model.num_queries)
+    params = model.init_params(run.model, run.seed)
+    assert sum(p.size for p in params.values()) < training.LANE_MIN_PARAMS
+    optim = init_optim_state(params, run.optim)
+    forward, forwards, parent = model.model_forward, [], os.getpid()
+
+    def counting(images, *args, **kwargs):
+        if os.getpid() == parent:
+            forwards.append(len(images.data))
+            assert len(multiprocessing.active_children()) == free_cores - 1
+        return forward(images, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "model_forward", counting)
+        breakdowns = [train_epoch(params, optim, dataset, run, epoch) for epoch in (1, 2)]
+    sizes = [min(8, len(dataset) - start) for start in range(0, len(dataset), 8)]
+    return params, optim, breakdowns, sizes, forwards
+
+
+@pytest.mark.parametrize("num_samples,last", [(27, 3), (25, 1)])
+def test_train_epoch_with_a_worker_equals_one_process_bit_for_bit(num_samples, last, monkeypatch):
+    params, optim, breakdowns, sizes, forwards = _desk_epochs(monkeypatch, 1, num_samples)
+    assert sizes[-1] == last
+    halves = [[-(-n // 2), n // 2] for n in sizes]
+    assert forwards == 2 * [h for pair in halves for h in pair if h]  # one process: both halves, in turn
+    w_params, w_optim, w_breakdowns, _, w_forwards = _desk_epochs(monkeypatch, 2, num_samples)
+    assert w_forwards == 2 * [first for first, _ in halves]  # with a worker: the first halves here
+    assert [b.__dict__ for b in w_breakdowns] == [b.__dict__ for b in breakdowns]
+    assert [repr(b.total) for b in breakdowns] == [repr(b.total) for b in w_breakdowns]
+    assert w_optim.step == optim.step == 2 * len(sizes)
+    for name in params:
+        for got, want in ((w_params, params), (w_optim.m, optim.m), (w_optim.v, optim.v)):
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_the_split_gradient_equals_the_whole_batch_gradient_to_rounding(monkeypatch):
+    from poet.data import batch_iter
+    from poet.loss import hungarian_loss_graph
+
+    monkeypatch.setattr(training, "_free_cores", lambda: 1)
+    run = parse_config("synth.num_samples = 7\n", base=_desk_run())  # no dropout; halves of 4 and 3
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, run.seed)
+    batch = next(batch_iter(dataset, 8, [run.seed, training._SHUFFLE_STREAM, 1], run.model.num_queries))
+    assert len(batch.targets) == 7
+    tape = ad.Tape()
+    watched = model.watch_params(tape, params)
+    outputs, _ = model.model_forward(ad.Tensor(batch.images), watched, run.model, train=True, rng=None)
+    total, whole_breakdown = hungarian_loss_graph(batch.targets, outputs, training._batch_assignments(batch.targets, outputs, run.loss), run.loss, batch.num_humans)
+    grads = ad.backward(total)
+    seen = []
+    monkeypatch.setattr(training, "apply_gradients", lambda p, g, *args, **kwargs: seen.append({k: v.copy() for k, v in g.items()}))
+    (breakdown,) = [train_epoch(params, init_optim_state(params, run.optim), dataset, run, 1)]
+    assert len(seen) == 1
+    assert breakdown.total == pytest.approx(whole_breakdown.total, rel=1e-12)
+    for name, t in watched.items():
+        np.testing.assert_allclose(seen[0][name], grads.wrt(t), rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def test_train_run_with_a_worker_writes_the_same_files(tmp_path, monkeypatch):
+    run = parse_config(
+        "synth.num_samples = 27\nmodel.dropout = 0.1\ntrain.val_samples = 10\ntrain.eval_every = 1\ntrain.checkpoint_every = 1\n",
+        base=_desk_run(),
+    )
+    for cores in (1, 2):
+        monkeypatch.setattr(training, "_free_cores", lambda: cores)
+        train_run(run, str(tmp_path / str(cores)))
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "checkpoint_epoch0002.bin" in names and "per_layer_map.csv" in names
+    assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("slow", ["parent", "worker"])
+def test_a_slow_reader_adds_the_gradients_of_its_own_step(slow, monkeypatch):
+    # one process pauses between receiving the other's gradients and adding them, while the other runs ahead
+    import time
+
+    run = parse_config("model.dropout = 0.1\n", base=tiny_run())
+    dataset = synth_generate(run.synth)
+    parent, swap_gradients, got = os.getpid(), training._Peer.swap_gradients, {}
+
+    def pausing(self, grads):
+        theirs = swap_gradients(self, grads)
+        if (os.getpid() == parent) == (slow == "parent"):
+            time.sleep(0.05)
+        return theirs
+
+    monkeypatch.setattr(training._Peer, "swap_gradients", pausing)
+    for cores in (1, 2):
+        monkeypatch.setattr(training, "_free_cores", lambda: cores)
+        params = model.init_params(run.model, run.seed)
+        optim = init_optim_state(params, run.optim)
+        breakdown = train_epoch(params, optim, dataset, run, epoch=1)
+        got[cores] = [repr(breakdown)] + [a.tobytes() for group in (params, optim.m, optim.v) for a in group.values()]
+    assert got[2] == got[1]
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("death", ["raises first", "raises", "killed", "non-finite"])
+def test_a_failed_worker_ends_the_epoch_naming_the_batch(death, monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(training, "_free_cores", lambda: 2)
+    run = tiny_run()  # 24 samples in batches of 8
+    dataset = synth_generate(run.synth)
+    params = model.init_params(run.model, run.seed)
+    optim = init_optim_state(params, run.optim)
+    parent, forward, watch, backward = os.getpid(), model.model_forward, model.watch_params, ad.backward
+    forwards, watched = [], []
+
+    def failing_forward(*args, **kwargs):
+        forwards.append(1)
+        if os.getpid() != parent and death == "raises first":  # before this process has sent anything
+            raise ValueError("a second-half forward failed")
+        if os.getpid() != parent and len(forwards) == 2:  # the worker's second half of batch 1
+            if death == "raises":
+                raise ValueError("a second-half forward failed")
+            if death == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return forward(*args, **kwargs)
+
+    def watching(tape, params):
+        watched.append(watch(tape, params))
+        return watched[-1]
+
+    def nan_backward(loss, lane=None):
+        grads = backward(loss, lane=lane)
+        if os.getpid() != parent and death == "non-finite" and len(forwards) == 2:
+            grads.wrt(watched[-1]["queries.weight"])[0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(model, "model_forward", failing_forward)
+    monkeypatch.setattr(model, "watch_params", watching)
+    monkeypatch.setattr(ad, "backward", nan_backward)
+    message = {
+        "raises first": "epoch 3 batch 0: second half: ValueError: a second-half forward failed",
+        "raises": "epoch 3 batch 1: second half: ValueError: a second-half forward failed",
+        "killed": "epoch 3 batch 1: the second-half worker exited before sending its half",
+        "non-finite": "epoch 3 batch 1: non-finite gradient of queries.weight",
+    }[death]
+    with _time_limit(60), pytest.raises(training.TrainBatchError, match=message):
+        train_epoch(params, optim, dataset, run, epoch=3)
+    assert multiprocessing.active_children() == []
+    assert optim.step == (death != "raises first")  # the updates of the batches before the failed one
