@@ -88,9 +88,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -98,34 +95,13 @@ class Tensor:
         tag = f", node={self.node_id}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return mul(self, Tensor(1.0 / float(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 def _as_tensor(x) -> Tensor:
@@ -459,7 +435,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
 
 
 class Gradients:
-    """Result of a backward pass, indexable by tape leaf."""
+    """Result of a backward pass: wrt(leaf) gives that tape leaf's gradient."""
 
     def __init__(self, acc: list, leaves: list[bool]):
         self._acc = acc
@@ -472,8 +448,6 @@ class Gradients:
             raise NotALeaf(f"node {t.node_id} is computed on the tape; only the gradients of leaves are kept")
         g = self._acc[t.node_id]
         return np.zeros(t.shape) if g is None else g
-
-    __getitem__ = wrt
 
 
 def _accumulate(acc: list, iid: int, vjp: Callable, g: np.ndarray) -> None:

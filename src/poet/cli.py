@@ -57,6 +57,7 @@ def cmd_train(args) -> int:
         return _fail(str(e), USAGE_ERROR)
 
     from . import training
+    from .checkpoint import ContainerError
     from .data import ParseError
 
     out = Path(args.out_dir)
@@ -64,7 +65,7 @@ def cmd_train(args) -> int:
     (out / "effective.cfg").write_text(dump_config(run), encoding="utf-8")
     try:
         summary = training.train_run(run, args.out_dir, resume=args.resume)
-    except (ConfigError, ParseError, FileNotFoundError, training.CheckpointMismatch) as e:
+    except (ConfigError, ParseError, FileNotFoundError, ContainerError, training.CheckpointMismatch) as e:
         return _fail(str(e), USAGE_ERROR)
     except (training.TrainBatchError, ValueError) as e:
         return _fail(str(e), VERIFY_ERROR)

@@ -1,9 +1,10 @@
 """Finite-difference verification of analytic gradients, end to end.
 
-Three suites: every tensor op against central differences, the full
-Hungarian loss at a fixed assignment over random instances, and a tiny
-complete model. Each returns the max relative error per component so the
-CLI can print one line per check and fail loudly past tolerance.
+Three suites, each through one loop that compares a taped backward with
+central differences: every tensor op, the full Hungarian loss at a fixed
+assignment over random instances, and a tiny complete model. Each returns
+the max relative error per component so the CLI can print one line per
+check and fail loudly past tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ LOSS_TOLERANCE = 1e-4
 MODEL_TOLERANCE = 1e-4
 
 def _max_rel_err(build: Callable, arrays: list[np.ndarray], eps: float = 1e-4) -> float:
+    """Max relative error of the taped gradient of build(tensors) wrt each array against central differences."""
     tape = ad.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     loss = build(leaves)
@@ -140,21 +142,11 @@ def check_loss(seed: int = 0, cases: int = 100) -> float:
         assignment = hungarian_assign(
             array_cost_matrix(targets.human, targets.center, targets.offsets, targets.visibilities, *preds, weights)
         )
-        humans = targets.num_humans
 
-        tape = ad.Tape()
-        tensors = {key: tape.leaf(v) for key, v in outputs.items()}
-        grads = ad.backward(hungarian_loss_graph([targets], tensors, [assignment], weights, humans)[0])
-        for key in outputs:
-            def f(t, key=key):
-                probe = {k2: ad.Tensor(v) for k2, v in outputs.items()}
-                probe[key] = t
-                total, _ = hungarian_loss_graph([targets], probe, [assignment], weights, humans)
-                return float(total.data)
+        def total(t):
+            return hungarian_loss_graph([targets], dict(zip(outputs, t)), [assignment], weights, targets.num_humans)[0]
 
-            numeric = ad.finite_diff(f, ad.Tensor(outputs[key]), eps=1e-4)
-            analytic = grads.wrt(tensors[key])
-            worst = max(worst, ad.relative_error(analytic, numeric.data))
+        worst = max(worst, _max_rel_err(total, list(outputs.values())))
     return worst
 
 
@@ -174,46 +166,22 @@ def check_model(seed: int = 0) -> float:
         "visibility": rng.normal(size=(1, cfg.num_queries, 2)),
     }
 
-    def forward(params_np):
-        tape = ad.Tape()
-        tensors = model.watch_params(tape, params_np)
-        outputs, _ = model.model_forward(ad.Tensor(images), tensors, cfg, train=False)
+    def probed(t):
+        outputs, _ = model.model_forward(ad.Tensor(images), dict(zip(params, t)), cfg, train=False)
         pieces = [ad.reduce_sum(ad.mul(outputs[key], ad.Tensor(probes[key]))) for key in probes]
-        return ad.add(ad.add(pieces[0], pieces[1]), ad.add(pieces[2], pieces[3])), tensors
+        return ad.add(ad.add(pieces[0], pieces[1]), ad.add(pieces[2], pieces[3]))
 
-    loss, tensors = forward(params)
-    grads = ad.backward(loss)
-    worst = 0.0
-    for name in params:
-        def f(t, name=name):
-            trial = dict(params)
-            trial[name] = t.data
-            value, _ = forward(trial)
-            return float(value.data)
-
-        numeric = ad.finite_diff(f, ad.Tensor(params[name]), eps=1e-5)
-        analytic = grads.wrt(tensors[name])
-        worst = max(worst, ad.relative_error(analytic, numeric.data))
-    return worst
+    return _max_rel_err(probed, list(params.values()), eps=1e-5)
 
 
 def run_gradcheck(component: str = "all", seed: int = 0, cases: int = 100) -> tuple[bool, list[str]]:
     """Run the requested suites; returns (all passed, printable report lines)."""
-    lines = []
-    ok = True
+    checks = []  # (name, max rel err, detail, tolerance)
     if component in ("all", "ops"):
-        for op, err in check_ops(seed).items():
-            passed = err < OP_TOLERANCE
-            ok &= passed
-            lines.append(f"ops/{op}: max rel err {err:.3e} {'ok' if passed else f'FAIL (tolerance {OP_TOLERANCE:g})'}")
+        checks += [(f"ops/{op}", err, "", OP_TOLERANCE) for op, err in check_ops(seed).items()]
     if component in ("all", "loss"):
-        err = check_loss(seed, cases=cases)
-        passed = err < LOSS_TOLERANCE
-        ok &= passed
-        lines.append(f"loss: max rel err {err:.3e} over {cases} cases {'ok' if passed else f'FAIL (tolerance {LOSS_TOLERANCE:g})'}")
+        checks.append(("loss", check_loss(seed, cases=cases), f" over {cases} cases", LOSS_TOLERANCE))
     if component in ("all", "model"):
-        err = check_model(seed)
-        passed = err < MODEL_TOLERANCE
-        ok &= passed
-        lines.append(f"model: max rel err {err:.3e} {'ok' if passed else f'FAIL (tolerance {MODEL_TOLERANCE:g})'}")
-    return ok, lines
+        checks.append(("model", check_model(seed), "", MODEL_TOLERANCE))
+    lines = [f"{name}: max rel err {err:.3e}{detail} {'ok' if err < tol else f'FAIL (tolerance {tol:g})'}" for name, err, detail, tol in checks]
+    return all(err < tol for _, err, _, tol in checks), lines

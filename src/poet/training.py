@@ -15,7 +15,6 @@ import contextlib
 import logging
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ class TrainBatchError(RuntimeError):
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint's parameter names or shapes differ from the model config's."""
+    """A checkpoint's array names or shapes differ from the model config's, or it holds NaN or infinite values."""
 
 
 @dataclass
@@ -337,10 +336,16 @@ def _steps(params, optim: OptimState, dataset: Dataset, run: RunConfig, epoch: i
     lr_t, lr_b = (effective_lr(lr, run.schedule, epoch) for lr in (run.optim.lr_transformer, run.optim.lr_backbone))
     summed = None if local is None else _flat_views(np.empty(sum(p.size for p in params.values())), params)
     held = []
-    batches = partial(batch_iter, dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries)
-    for own in zip(*(batches(h) for h in local or (None,))):
-        images = [own[0].images] if local is None else [own[local.index(h)].images if h in local else None for h in (0, 1)]
-        yield _train_step(params, optim, own[0], images, run, rngs, lr_t, lr_b, held, summed, peer, lane)
+    half = None if local in (None, (0, 1)) else local[0]  # a process running one half renders only its images
+    for batch in batch_iter(dataset, run.train.batch_size, [run.seed, _SHUFFLE_STREAM, epoch], run.model.num_queries, half):
+        if local is None:
+            images = [batch.images]
+        elif half is None:  # both halves here: the batch is rendered and encoded once, and its images cut
+            cut = -(-len(batch.targets) // 2)
+            images = [batch.images[:cut], batch.images[cut:] if cut < len(batch.targets) else None]
+        else:
+            images = [batch.images if h == half else None for h in (0, 1)]
+        yield _train_step(params, optim, batch, images, run, rngs, lr_t, lr_b, held, summed, peer, lane)
 
 
 def _second_half_worker(conn, parent_end, params, optim, dataset, run, epoch, buffers) -> None:
@@ -594,7 +599,10 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray], optim: OptimState,
 
 
 def load_checkpoint(path: str, optim_config: OptimConfig) -> tuple[dict[str, np.ndarray], OptimState, int]:
-    arrays = checkpoint.load_arrays(path)
+    return _split_checkpoint(checkpoint.load_arrays(path), optim_config)
+
+
+def _split_checkpoint(arrays: dict[str, np.ndarray], optim_config: OptimConfig) -> tuple[dict[str, np.ndarray], OptimState, int]:
     params: dict[str, np.ndarray] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
@@ -614,19 +622,27 @@ def load_checkpoint(path: str, optim_config: OptimConfig) -> tuple[dict[str, np.
     return params, OptimState(m, v, step, optim_config), epoch
 
 
-def check_params(params: dict[str, np.ndarray], cfg: ModelConfig) -> None:
-    """Raise CheckpointMismatch unless the parameters have exactly model.param_specs(cfg)'s names and shapes."""
+def check_params(arrays: dict[str, np.ndarray], cfg: ModelConfig, resumable: bool = False) -> None:
+    """Raise CheckpointMismatch unless the arrays have exactly model.param_specs(cfg)'s names and shapes, all finite.
+
+    A resumable checkpoint must also hold the AdamW moments of every parameter (optim.m.*, optim.v.*)
+    and the step and epoch reached (meta.*), finite as well.
+    """
     expected = {name: shape for name, shape, _ in model.param_specs(cfg)}
-    problems = [f"missing {name}" for name in expected if name not in params]
-    problems += [f"unexpected {name}" for name in params if name not in expected]
+    if resumable:
+        expected |= {f"optim.{k}.{name}": shape for k in "mv" for name, shape in expected.items()} | {"meta.step": (1,), "meta.epoch": (1,)}
+    problems = [f"missing {name}" for name in expected if name not in arrays]
+    problems += [f"unexpected {name}" for name in arrays if name not in expected]
     problems += [
-        f"{name} has shape {params[name].shape}, the config gives {shape}"
+        f"{name} has shape {arrays[name].shape}, the config gives {shape}"
         for name, shape in expected.items()
-        if name in params and params[name].shape != shape
+        if name in arrays and arrays[name].shape != shape
     ]
-    if problems:
-        shown = "; ".join(problems[:3]) + (f"; and {len(problems) - 3} more" if len(problems) > 3 else "")
-        raise CheckpointMismatch(f"checkpoint does not match the model config: {shown}")
+    nonfinite = [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+    for what, found in (("does not match the model config", problems), ("holds NaN or infinite values", nonfinite)):
+        if found:
+            shown = "; ".join(found[:3]) + (f"; and {len(found) - 3} more" if len(found) > 3 else "")
+            raise CheckpointMismatch(f"checkpoint {what}: {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +733,9 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
             )
 
     if resume:
-        params, optim, start_epoch = load_checkpoint(resume, run.optim)
-        check_params(params, run.model)
+        arrays = checkpoint.load_arrays(resume)
+        check_params(arrays, run.model, resumable=True)
+        params, optim, start_epoch = _split_checkpoint(arrays, run.optim)
         log.info("resumed from %s at epoch %d", resume, start_epoch)
     else:
         params = model.init_params(run.model, run.seed)

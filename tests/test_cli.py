@@ -482,12 +482,14 @@ def test_malformed_dataset_cache_exit_2_without_traceback(tiny_cfg_path, tmp_pat
     assert_usage_error(argv, tmp_path, "dataset cache ds.bin")
 
 
-def test_gradcheck_component_and_injection(capsys, monkeypatch):
+@pytest.mark.parametrize("component", ["ops", "loss", "model"])
+def test_gradcheck_component_and_injection(component, capsys, monkeypatch):
+    # every component goes through the same comparison loop, and each must see a wrong backward
     from poet import autodiff
 
-    assert main(["gradcheck", "--component", "loss", "--cases", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "loss: max rel err" in out and "ops/" not in out
+    assert main(["gradcheck", "--component", component, "--cases", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith(component) and line.endswith(" ok") for line in lines)
     backward = autodiff.backward
 
     def corrupted(*args, **kwargs):  # every analytic gradient off by 1e-2
@@ -497,9 +499,10 @@ def test_gradcheck_component_and_injection(capsys, monkeypatch):
         return grads
 
     monkeypatch.setattr(autodiff, "backward", corrupted)
-    assert main(["gradcheck", "--component", "loss", "--cases", "2"]) == 1
-    out = capsys.readouterr().out
-    assert "loss: max rel err" in out and "FAIL (tolerance" in out
+    assert main(["gradcheck", "--component", component, "--cases", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith(component) for line in lines)
+    assert any("FAIL (tolerance" in line for line in lines)
 
 
 def test_train_eval_roundtrip(tiny_cfg_path, tmp_path, capsys):
@@ -665,13 +668,13 @@ def test_eval_model_on_coco_annotations_exit_2(tiny_cfg_path, tmp_path, capsys):
 
 
 def test_import_cli_does_not_load_numpy():
-    # --threads must set the BLAS variables before numpy is first imported
+    # --threads must set the BLAS variables before numpy is first imported; a bare `import poet` loads no submodule
     import poet
 
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
-    code = "import sys, poet.cli; print('numpy' in sys.modules)"
+    code = "import sys, poet; print([m for m in sys.modules if m.startswith('poet.')]); import poet.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def _init_checkpoint(cfg_path, tmp_path):
@@ -722,3 +725,53 @@ def test_train_val_set_over_slot_capacity_exit_2(tiny_cfg_path, tmp_path, capsys
     assert code == 2
     assert "5 people" in capsys.readouterr().err
     assert not (out / "losses.csv").exists() and not (out / "checkpoint_final.bin").exists()
+
+
+def _only_parameters(arrays):
+    for name in [n for n in arrays if n.startswith(("optim.", "meta."))]:
+        del arrays[name]
+
+
+DAMAGED_CHECKPOINTS = {
+    "parameters-only": (_only_parameters, "missing optim.m."),
+    "optim-v-wrong-shape": (lambda a: a.update({"optim.v.head.class.weight": a["optim.v.head.class.weight"].T.copy()}), "optim.v.head.class.weight has shape (2, 16)"),
+    "nan-parameter": (lambda a: a["head.class.bias"].__setitem__(0, math.nan), "NaN or infinite values: head.class.bias"),
+    "infinite-moment": (lambda a: a["optim.m.queries.weight"].__setitem__((0, 0), math.inf), "NaN or infinite values: optim.m.queries.weight"),
+    "nan-epoch": (lambda a: a["meta.epoch"].__setitem__(0, math.nan), "NaN or infinite values: meta.epoch"),
+}
+
+
+def _damaged_checkpoint(cfg_path, tmp_path, damage):
+    from poet import checkpoint
+
+    ckpt = _init_checkpoint(cfg_path, tmp_path)
+    arrays = checkpoint.load_arrays(ckpt)
+    damage(arrays)
+    checkpoint.save_arrays(ckpt, arrays)
+    return ckpt
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_CHECKPOINTS))
+def test_resume_from_a_damaged_checkpoint_exit_2_before_any_log(tiny_cfg_path, tmp_path, case):
+    damage, where = DAMAGED_CHECKPOINTS[case]
+    ckpt = _damaged_checkpoint(tiny_cfg_path, tmp_path, damage)
+    assert_usage_error(["train", "--config", tiny_cfg_path, "--resume", ckpt, "--out-dir", "run"], tmp_path, where)
+    assert not (tmp_path / "run" / "losses.csv").exists()
+
+
+def test_resume_from_a_truncated_checkpoint_exit_2(tiny_cfg_path, tmp_path):
+    ckpt = Path(_init_checkpoint(tiny_cfg_path, tmp_path))
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])  # the last array written, meta.epoch, loses its value
+    argv = ["train", "--config", tiny_cfg_path, "--resume", str(ckpt), "--out-dir", "run"]
+    assert_usage_error(argv, tmp_path, "truncated while reading data of 'meta.epoch'")
+
+
+def test_eval_of_a_checkpoint_with_a_nan_parameter_exit_2(tiny_cfg_path, tmp_path):
+    damage, where = DAMAGED_CHECKPOINTS["nan-parameter"]
+    assert_usage_error(["eval", "--checkpoint", _damaged_checkpoint(tiny_cfg_path, tmp_path, damage)], tmp_path, where)
+
+
+def test_eval_accepts_a_parameters_only_checkpoint(tiny_cfg_path, tmp_path, capsys):
+    ckpt = _damaged_checkpoint(tiny_cfg_path, tmp_path, _only_parameters)
+    assert main(["eval", "--checkpoint", ckpt]) == 0
+    assert "AP" in capsys.readouterr().out

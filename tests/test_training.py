@@ -594,6 +594,19 @@ def test_train_run_one_forward_per_half_batch_and_no_slot_objects(tmp_path, monk
     assert modes.count(False) == evals * -(-run.train.val_samples // run.train.batch_size)
 
 
+def test_one_process_split_steps_encode_each_sample_once_per_epoch(monkeypatch):
+    from poet import data
+
+    monkeypatch.setattr(training, "_free_cores", lambda: 1)  # both halves of every batch in this process
+    run = parse_config("synth.num_samples = 25\n", base=tiny_run())
+    dataset = synth_generate(run.synth)
+    encode, calls = data.encode_targets, []
+    monkeypatch.setattr(data, "encode_targets", lambda *args: calls.append(args) or encode(*args))
+    params = model.init_params(run.model, run.seed)
+    train_epoch(params, init_optim_state(params, run.optim), dataset, run, 1)
+    assert len(calls) == len(dataset)
+
+
 def test_training_validation_and_gradcheck_build_no_pose_objects(monkeypatch):
     import sys
 
