@@ -8,6 +8,7 @@ deterministic caller produces byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Mapping
@@ -66,16 +67,20 @@ def load_arrays(path: str) -> dict[str, np.ndarray]:
             if len(head) < 4:
                 raise ContainerError(f"{path}: truncated record header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
+            encoded = _read_exact(fh, name_len, path, f"the name of record {len(out)}")
+            try:
+                name = encoded.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContainerError(f"{path}: the name of record {len(out)} is not UTF-8: {encoded[:64]!r}") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"rank of {name!r}"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, f"dims of {name!r}"))
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            raw = _read_exact(fh, 8 * count, path, f"data of {name!r}")
+            raw = _read_exact(fh, 8 * math.prod(shape), path, f"data of {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ContainerError(f"{path}: truncated while reading {what}")
-    return data
+    """n bytes from fh, or ContainerError when the file is shorter, found before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ContainerError(f"{path}: truncated while reading {what} ({n} bytes, {left} left in the file)")
+    return fh.read(n)

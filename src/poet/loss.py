@@ -48,22 +48,6 @@ class LossBreakdown:
             center_l2=center_l2,
         )
 
-    def scaled(self, factor: float) -> "LossBreakdown":
-        return LossBreakdown.build(
-            self.class_nll * factor,
-            self.keypoint_l1 * factor,
-            self.visibility_l2 * factor,
-            self.center_l2 * factor,
-        )
-
-    def plus(self, other: "LossBreakdown") -> "LossBreakdown":
-        return LossBreakdown.build(
-            self.class_nll + other.class_nll,
-            self.keypoint_l1 + other.keypoint_l1,
-            self.visibility_l2 + other.visibility_l2,
-            self.center_l2 + other.center_l2,
-        )
-
 
 def pose_loss(target: PoseVector, pred: PoseVector, weights: LossWeights) -> tuple[float, tuple[float, float, float]]:
     """Pose discrepancy between a human target and a predicted pose.

@@ -117,16 +117,13 @@ class EvalResult:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
     def table_row(self) -> str:
         cells = ["  ----" if v is None else f"{v:6.3f}" for v in self.as_dict().values()]
         return " ".join(cells)
 
     @staticmethod
     def table_header() -> str:
-        return " ".join(f"{name:>6}" for name in ("AP", "AP50", "AP75", "AP_M", "AP_L", "AR", "AR50", "AR75", "AR_M", "AR_L"))
+        return " ".join(f"{f.name.upper():>6}" for f in fields(EvalResult))
 
 
 def oks(pred_keypoints, gt_keypoints, gt_visibility, scale: float, params: OksParams) -> float:
@@ -246,33 +243,24 @@ def evaluate_detections(
     params: OksParams,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> EvalResult:
-    """Score per-image detections against annotations across thresholds and size buckets."""
+    """Score per-image detections against annotations across thresholds and size buckets.
+
+    Each kind (AP, AR) gets its mean over the thresholds in every bucket (all, _m, _l) and, from the
+    bucket of all ground truths, its values at 0.5 and 0.75.
+    """
     if len(detections) != len(ground_truths):
         raise ValueError(f"image counts differ: {len(detections)} detection lists, {len(ground_truths)} gt lists")
     thresholds = tuple(thresholds)
     images = [_score_image(dets, gts, params) for dets, gts in zip(detections, ground_truths)]
-    if not any(any(image.visible) for image in images):
-        # nothing to score: every field is undefined, not zero
-        return EvalResult(*(None,) * 10)
-    all_b = _sweep(images, thresholds, None)
-    med_b = _sweep(images, thresholds, MEDIUM_RANGE)
-    lrg_b = _sweep(images, thresholds, LARGE_RANGE)
-
-    def at(bucket, t, idx):
-        return bucket[t][idx]
-
-    return EvalResult(
-        ap=_mean([at(all_b, t, 0) for t in thresholds]),
-        ap50=at(all_b, 0.5, 0) if 0.5 in all_b else None,
-        ap75=at(all_b, 0.75, 0) if 0.75 in all_b else None,
-        ap_m=_mean([at(med_b, t, 0) for t in thresholds]),
-        ap_l=_mean([at(lrg_b, t, 0) for t in thresholds]),
-        ar=_mean([at(all_b, t, 1) for t in thresholds]),
-        ar50=at(all_b, 0.5, 1) if 0.5 in all_b else None,
-        ar75=at(all_b, 0.75, 1) if 0.75 in all_b else None,
-        ar_m=_mean([at(med_b, t, 1) for t in thresholds]),
-        ar_l=_mean([at(lrg_b, t, 1) for t in thresholds]),
-    )
+    buckets = {"": None, "_m": MEDIUM_RANGE, "_l": LARGE_RANGE}  # field-name suffix: area range
+    swept = {suffix: _sweep(images, thresholds, bucket) for suffix, bucket in buckets.items()}
+    values = {}
+    for i, kind in enumerate(("ap", "ar")):
+        for suffix, by_threshold in swept.items():
+            values[kind + suffix] = _mean([by_threshold[t][i] for t in thresholds])
+        for t in (0.5, 0.75):
+            values[f"{kind}{round(100 * t)}"] = swept[""][t][i] if t in swept[""] else None
+    return EvalResult(**values)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ class TrainBatchError(RuntimeError):
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint's array names or shapes differ from the model config's, or it holds NaN or infinite values."""
+    """A checkpoint's array names or shapes differ from the model config's, it holds NaN or infinite values, or bad meta.* values."""
 
 
 @dataclass
@@ -210,8 +210,10 @@ def apply_gradients(
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads them in this order
 # the fewest parameters a model trains on the lane with, in whole batches; smaller ones split each batch
 # between two processes. On 2 cores at 1 BLAS thread, synth_tiny-shaped models of 224K-1.75M parameters
-# took 0.67-0.82 times the lane's epoch time with the worker, of 4.4M 0.93, and paper_scale's 9.4M tied,
-# while each process's three gradient-sized buffers (two shared, one sum) cost 24 bytes per parameter
+# took 0.67-0.82 times the lane's epoch time with the worker, and of 4.4M 0.93. At paper_scale's 9.4M the
+# worker loses: the benchmark's train_paper read 7.28-8.80 samples/s at 614 MB peak RSS with it, against
+# the lane's 10.17-11.66 at 475-489 MB (4 alternating pairs). The likely cause, not measured: each process
+# runs the whole clip and AdamW, and holds three gradient-sized buffers (two shared, one sum), 24 bytes a parameter
 LANE_MIN_PARAMS = 1 << 22
 
 
@@ -424,10 +426,11 @@ def _batch_loss(batch: Batch, outputs: dict[str, ad.Tensor], weights: LossWeight
 
 
 def _mean_breakdown(breakdowns: list[LossBreakdown]) -> LossBreakdown:
-    accum = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
-    for breakdown in breakdowns:
-        accum = accum.plus(breakdown)
-    return accum.scaled(1.0 / max(len(breakdowns), 1))
+    """Each term summed over the breakdowns in order from 0.0, then scaled once by 1 / their count (at least 1)."""
+    sums = [0.0] * 4
+    for b in breakdowns:
+        sums = [s + term for s, term in zip(sums, astuple(b)[1:])]  # astuple: (total, *terms)
+    return LossBreakdown.build(*(s * (1.0 / max(len(breakdowns), 1)) for s in sums))
 
 
 def dataset_loss(params: dict[str, np.ndarray], dataset: Dataset, run: RunConfig) -> LossBreakdown:
@@ -622,14 +625,15 @@ def _split_checkpoint(arrays: dict[str, np.ndarray], optim_config: OptimConfig) 
     return params, OptimState(m, v, step, optim_config), epoch
 
 
-def check_params(arrays: dict[str, np.ndarray], cfg: ModelConfig, resumable: bool = False) -> None:
+def check_params(arrays: dict[str, np.ndarray], cfg: ModelConfig, epochs: int | None = None, label: str = "checkpoint") -> None:
     """Raise CheckpointMismatch unless the arrays have exactly model.param_specs(cfg)'s names and shapes, all finite.
 
-    A resumable checkpoint must also hold the AdamW moments of every parameter (optim.m.*, optim.v.*)
-    and the step and epoch reached (meta.*), finite as well.
+    Given epochs, the checkpoint must also resume a schedule of that many: it must hold the AdamW
+    moments of every parameter (optim.m.*, optim.v.*) and the step and epoch reached (meta.*), finite
+    as well, the epoch an integer in [0, epochs] and the step a non-negative integer. label starts each message.
     """
     expected = {name: shape for name, shape, _ in model.param_specs(cfg)}
-    if resumable:
+    if epochs is not None:
         expected |= {f"optim.{k}.{name}": shape for k in "mv" for name, shape in expected.items()} | {"meta.step": (1,), "meta.epoch": (1,)}
     problems = [f"missing {name}" for name in expected if name not in arrays]
     problems += [f"unexpected {name}" for name in arrays if name not in expected]
@@ -642,7 +646,12 @@ def check_params(arrays: dict[str, np.ndarray], cfg: ModelConfig, resumable: boo
     for what, found in (("does not match the model config", problems), ("holds NaN or infinite values", nonfinite)):
         if found:
             shown = "; ".join(found[:3]) + (f"; and {len(found) - 3} more" if len(found) > 3 else "")
-            raise CheckpointMismatch(f"checkpoint {what}: {shown}")
+            raise CheckpointMismatch(f"{label} {what}: {shown}")
+    if epochs is not None:
+        for name, top in (("meta.epoch", epochs), ("meta.step", float("inf"))):
+            value = float(arrays[name][0])
+            if not (value.is_integer() and 0 <= value <= top):
+                raise CheckpointMismatch(f"{label} has {name} = {value:g}, not an integer in [0, {top:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +685,15 @@ def _format_row(values) -> str:
     return ",".join("" if v is None else (repr(float(v)) if isinstance(v, float) else str(v)) for v in values)
 
 
+_EVAL_COLUMNS = [f.name for f in fields(metrics.EvalResult)]
 LOSS_HEADER = "epoch,split,class,keypoint,visibility,center,total"
-MAP_HEADER = "epoch,ap,ap50,ap75,ap_m,ap_l,ar,ar50,ar75,ar_m,ar_l"
-PER_LAYER_HEADER = "epoch,layer,ap,ap50,ap75,ap_m,ap_l,ar,ar50,ar75,ar_m,ar_l"
+MAP_HEADER = ",".join(["epoch", *_EVAL_COLUMNS])
+PER_LAYER_HEADER = ",".join(["epoch", "layer", *_EVAL_COLUMNS])
 
 
-def _loss_row(epoch: int, split: str, b: LossBreakdown) -> str:
-    return _format_row((epoch, split, b.class_nll, b.keypoint_l1, b.visibility_l2, b.center_l2, b.total))
-
-
-def _restart_csv(path: Path, header: str, last_epoch: int) -> None:
-    """Rewrite a CSV log as its header plus its rows of epochs 1..last_epoch, atomically.
+@contextlib.contextmanager
+def _csv_log(path: Path, header: str, last_epoch: int):
+    """A CSV log rewritten, atomically, as its header plus its rows of epochs 1..last_epoch; yields a writer of flushed rows.
 
     A resumed run keeps what was logged up to its checkpoint and drops any
     later rows, which it is about to log again; a missing file gets the header.
@@ -700,6 +707,8 @@ def _restart_csv(path: Path, header: str, last_epoch: int) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     os.replace(tmp, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        yield lambda *values: print(_format_row(values), file=fh, flush=True)
 
 
 def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
@@ -734,7 +743,7 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
 
     if resume:
         arrays = checkpoint.load_arrays(resume)
-        check_params(arrays, run.model, resumable=True)
+        check_params(arrays, run.model, epochs=run.schedule.epochs, label=f"checkpoint {resume}")
         params, optim, start_epoch = _split_checkpoint(arrays, run.optim)
         log.info("resumed from %s at epoch %d", resume, start_epoch)
     else:
@@ -742,50 +751,34 @@ def train_run(run: RunConfig, out_dir: str, resume: str | None = None) -> dict:
         optim = init_optim_state(params, run.optim)
         start_epoch = 0
 
-    losses_path = out / "losses.csv"
-    map_path = out / "map.csv"
-    per_layer_path = out / "per_layer_map.csv"
-    _restart_csv(losses_path, LOSS_HEADER, start_epoch)
-    if val_ds is not None:
-        _restart_csv(map_path, MAP_HEADER, start_epoch)
-        _restart_csv(per_layer_path, PER_LAYER_HEADER, start_epoch)
-    losses_fh = open(losses_path, "a", encoding="utf-8")
-    map_fh = open(map_path, "a", encoding="utf-8") if val_ds is not None else None
-    layer_fh = open(per_layer_path, "a", encoding="utf-8") if val_ds is not None else None
-
     def save_with_config(path: str, epoch: int) -> None:
         save_checkpoint(path, params, optim, epoch)
         Path(path + ".cfg").write_text(dump_config(run), encoding="utf-8")
 
     drop_set = set(run.schedule.drop_epochs)
     last_eval = None
-    try:
+    with contextlib.ExitStack() as logs:
+        log_loss = logs.enter_context(_csv_log(out / "losses.csv", LOSS_HEADER, start_epoch))
+        if val_ds is not None:
+            log_map = logs.enter_context(_csv_log(out / "map.csv", MAP_HEADER, start_epoch))
+            log_layer = logs.enter_context(_csv_log(out / "per_layer_map.csv", PER_LAYER_HEADER, start_epoch))
         for epoch in range(start_epoch + 1, run.schedule.epochs + 1):
             breakdown = train_epoch(params, optim, train_ds, run, epoch)
-            print(_loss_row(epoch, "train", breakdown), file=losses_fh)
+            log_loss(epoch, "train", *astuple(breakdown)[1:], breakdown.total)
             should_eval = val_ds is not None and run.train.eval_every > 0 and (
                 epoch % run.train.eval_every == 0 or epoch == run.schedule.epochs
             )
             if should_eval:
                 val_breakdown, final, per_layer = validate(params, val_ds, run)
-                print(_loss_row(epoch, "val", val_breakdown), file=losses_fh)
+                log_loss(epoch, "val", *astuple(val_breakdown)[1:], val_breakdown.total)
                 last_eval = final
-                print(_format_row((epoch, *final.as_dict().values())), file=map_fh)
+                log_map(epoch, *final.as_dict().values())
                 for li, res in enumerate(per_layer):
-                    print(_format_row((epoch, li, *res.as_dict().values())), file=layer_fh)
-                map_fh.flush()
-                layer_fh.flush()
-            losses_fh.flush()
+                    log_layer(epoch, li, *res.as_dict().values())
             if run.train.checkpoint_every > 0 and (epoch % run.train.checkpoint_every == 0 or epoch in drop_set):
                 save_with_config(str(out / f"checkpoint_epoch{epoch:04d}.bin"), epoch)
             log.info("epoch %d: train total %.6f", epoch, breakdown.total)
         save_with_config(str(out / "checkpoint_final.bin"), run.schedule.epochs)
-    finally:
-        losses_fh.close()
-        if map_fh:
-            map_fh.close()
-        if layer_fh:
-            layer_fh.close()
     return {
         "params": params,
         "optim": optim,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -286,15 +287,18 @@ MALFORMED_EVAL = {
 }
 
 
-def assert_usage_error(argv, cwd, where):
-    """Run `poet` as a user does, in a fresh interpreter, so an uncaught exception shows as a traceback."""
+def assert_usage_error(argv, cwd, where, preexec_fn=None):
+    """Run `poet` as a user does, in a fresh interpreter, so an uncaught exception shows as a traceback; returns its stderr."""
     import poet
 
     env = {**os.environ, "PYTHONPATH": str(Path(poet.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env)
+    out = subprocess.run(
+        [sys.executable, "-m", "poet.cli", *argv], capture_output=True, text=True, timeout=120, cwd=cwd, env=env, preexec_fn=preexec_fn
+    )
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
     assert where in out.stderr
+    return out.stderr
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_MATCH))
@@ -738,6 +742,11 @@ DAMAGED_CHECKPOINTS = {
     "nan-parameter": (lambda a: a["head.class.bias"].__setitem__(0, math.nan), "NaN or infinite values: head.class.bias"),
     "infinite-moment": (lambda a: a["optim.m.queries.weight"].__setitem__((0, 0), math.inf), "NaN or infinite values: optim.m.queries.weight"),
     "nan-epoch": (lambda a: a["meta.epoch"].__setitem__(0, math.nan), "NaN or infinite values: meta.epoch"),
+    "negative-epoch": (lambda a: a["meta.epoch"].__setitem__(0, -3.0), "meta.epoch = -3, not an integer in [0, 2]"),
+    "epoch-past-the-schedule": (lambda a: a["meta.epoch"].__setitem__(0, 5.0), "meta.epoch = 5, not an integer in [0, 2]"),
+    "fractional-epoch": (lambda a: a["meta.epoch"].__setitem__(0, 1.5), "meta.epoch = 1.5, not an integer in [0, 2]"),
+    "negative-step": (lambda a: a["meta.step"].__setitem__(0, -1.0), "meta.step = -1, not an integer in [0, inf]"),
+    "fractional-step": (lambda a: a["meta.step"].__setitem__(0, 2.5), "meta.step = 2.5, not an integer in [0, inf]"),
 }
 
 
@@ -755,8 +764,63 @@ def _damaged_checkpoint(cfg_path, tmp_path, damage):
 def test_resume_from_a_damaged_checkpoint_exit_2_before_any_log(tiny_cfg_path, tmp_path, case):
     damage, where = DAMAGED_CHECKPOINTS[case]
     ckpt = _damaged_checkpoint(tiny_cfg_path, tmp_path, damage)
-    assert_usage_error(["train", "--config", tiny_cfg_path, "--resume", ckpt, "--out-dir", "run"], tmp_path, where)
+    stderr = assert_usage_error(["train", "--config", tiny_cfg_path, "--resume", ckpt, "--out-dir", "run"], tmp_path, where)
+    assert ckpt in stderr
     assert not (tmp_path / "run" / "losses.csv").exists()
+
+
+def test_resume_in_place_from_a_negative_epoch_leaves_the_logs_byte_unchanged(tiny_cfg_path, tmp_path):
+    from poet import checkpoint
+
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", tiny_cfg_path, "--out-dir", str(run_dir)]) == 0
+    logs = {name: (run_dir / name).read_bytes() for name in ("losses.csv", "map.csv", "per_layer_map.csv")}
+    ckpt = str(run_dir / "checkpoint_final.bin")
+    arrays = checkpoint.load_arrays(ckpt)
+    arrays["meta.epoch"][0] = -3.0
+    checkpoint.save_arrays(ckpt, arrays)
+    stderr = assert_usage_error(["train", "--config", tiny_cfg_path, "--resume", ckpt, "--out-dir", "run"], tmp_path, "meta.epoch = -3")
+    assert ckpt in stderr
+    assert {name: (run_dir / name).read_bytes() for name in logs} == logs
+
+
+def _first_record_patched(cfg_path, tmp_path, patch):
+    """The initial checkpoint, its bytes patched in place by patch(data, offset of the first name, offset of its rank)."""
+    ckpt = Path(_init_checkpoint(cfg_path, tmp_path))
+    data = bytearray(ckpt.read_bytes())
+    (name_len,) = struct.unpack_from("<I", data, 8)  # after the magic and the version
+    patch(data, 12, 12 + name_len)
+    ckpt.write_bytes(bytes(data))
+    return str(ckpt)
+
+
+CHECKPOINT_COMMANDS = {
+    "train": lambda cfg, ckpt: ["train", "--config", cfg, "--resume", ckpt, "--out-dir", "run"],
+    "eval": lambda cfg, ckpt: ["eval", "--checkpoint", ckpt],
+}
+
+
+@pytest.mark.parametrize("command", list(CHECKPOINT_COMMANDS))
+def test_a_checkpoint_name_that_is_not_utf8_exit_2(tiny_cfg_path, tmp_path, command):
+    ckpt = _first_record_patched(tiny_cfg_path, tmp_path, lambda data, name, _: data.__setitem__(name, 0xFF))
+    stderr = assert_usage_error(CHECKPOINT_COMMANDS[command](tiny_cfg_path, ckpt), tmp_path, "the name of record 0 is not UTF-8")
+    assert ckpt in stderr
+
+
+def _limit_address_space():
+    """In the child only: 3 GiB of address space, so an allocation sized by a damaged field fails whatever the overcommit setting."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command", list(CHECKPOINT_COMMANDS))
+def test_a_checkpoint_rank_past_the_end_of_the_file_exit_2(tiny_cfg_path, tmp_path, command):
+    # a rank of 2^32 - 1 asks for 16 GiB of dims; the file is checked before anything is read
+    ckpt = _first_record_patched(tiny_cfg_path, tmp_path, lambda data, _, rank: struct.pack_into("<I", data, rank, 2**32 - 1))
+    argv = CHECKPOINT_COMMANDS[command](tiny_cfg_path, ckpt)
+    stderr = assert_usage_error(argv, tmp_path, "truncated while reading dims of", preexec_fn=_limit_address_space)
+    assert ckpt in stderr
 
 
 def test_resume_from_a_truncated_checkpoint_exit_2(tiny_cfg_path, tmp_path):

@@ -183,9 +183,10 @@ def test_provided_area_overrides_proxy():
 
 def test_eval_result_json_and_table():
     r = evaluate_detections([[det([(0, 0), (5, 5)])]], [[gt([(0, 0), (5, 5)])]], P2)
-    parsed = json.loads(r.to_json())
+    parsed = json.loads(json.dumps(r.as_dict()))  # as `poet eval --out` writes it
     assert parsed["ap"] == 1.0 and parsed["ap_m"] is None
-    assert len(EvalResult.table_header().split()) == 10
+    assert list(parsed) == ["ap", "ap50", "ap75", "ap_m", "ap_l", "ar", "ar50", "ar75", "ar_m", "ar_l"]
+    assert EvalResult.table_header() == "    AP   AP50   AP75   AP_M   AP_L     AR   AR50   AR75   AR_M   AR_L"
     assert "----" in r.table_row()
 
 

@@ -533,13 +533,14 @@ def test_validate_matches_dataset_loss_and_evaluate():
 
 def test_dataset_loss_matches_per_image_reference_loss():
     from poet.data import batch_iter
-    from poet.loss import LossBreakdown, hungarian_loss
+    from poet.loss import hungarian_loss
 
     run = tiny_run()
     dataset = training.resolve_dataset("synth", run, "val")
     params = model.init_params(run.model, 2)
     cparams = model.constant_params(params)
-    batches = []
+    terms = ("class_nll", "keypoint_l1", "visibility_l2", "center_l2")
+    batch_sums = []  # per batch, each term summed over its images' plain-float losses
     for batch in batch_iter(dataset, run.train.batch_size, None, run.model.num_queries):
         outputs, _ = model.model_forward(ad.Tensor(batch.images), cparams, run.model, train=False)
         assignments = training._batch_assignments(batch.targets, outputs, run.loss)
@@ -547,17 +548,12 @@ def test_dataset_loss_matches_per_image_reference_loss():
             hungarian_loss(t, p, a, run.loss, batch.num_humans, num_images_in_batch=len(batch.targets))
             for t, p, a in zip(batch.targets, model.slots_from_outputs(outputs, run.model), assignments)
         ]
-        total = per_image[0]
-        for extra in per_image[1:]:
-            total = total.plus(extra)
-        batches.append(total)
-    expected = LossBreakdown.build(0.0, 0.0, 0.0, 0.0)
-    for b in batches:
-        expected = expected.plus(b)
-    expected = expected.scaled(1.0 / len(batches))
+        batch_sums.append({term: sum(getattr(b, term) for b in per_image) for term in terms})
+    expected = {term: sum(s[term] for s in batch_sums) / len(batch_sums) for term in terms}
+    expected["total"] = sum(expected.values())
     got = dataset_loss(params, dataset, run)
-    for field in ("total", "class_nll", "keypoint_l1", "visibility_l2", "center_l2"):
-        assert abs(getattr(got, field) - getattr(expected, field)) <= 1e-12
+    for field, value in expected.items():
+        assert abs(getattr(got, field) - value) <= 1e-12
 
 
 def test_evaluate_images_with_more_people_than_slots():
@@ -652,6 +648,8 @@ def test_train_run_outputs_and_resume(tmp_path):
     assert (out / "checkpoint_final.bin.cfg").exists()
     lines = (out / "losses.csv").read_text().splitlines()
     assert lines[0] == "epoch,split,class,keypoint,visibility,center,total"
+    assert (out / "map.csv").read_text().splitlines()[0] == "epoch,ap,ap50,ap75,ap_m,ap_l,ar,ar50,ar75,ar_m,ar_l"
+    assert (out / "per_layer_map.csv").read_text().splitlines()[0] == "epoch,layer,ap,ap50,ap75,ap_m,ap_l,ar,ar50,ar75,ar_m,ar_l"
     assert len([l for l in lines if l.startswith("1,train")]) == 1
 
     # validation loss logged at epoch 1 equals the loss recomputed from that checkpoint
