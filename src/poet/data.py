@@ -121,19 +121,20 @@ def render_image(keypoints: np.ndarray, image_size, spec: RenderSpec) -> np.ndar
     """One Gaussian blob per visible keypoint of the (instances, K, 3) rows, channel = keypoint index mod channels.
 
     Overlapping blobs compose by max, so each visible keypoint keeps a local
-    peak at its own location.
+    peak at its own location. Division by a positive number and exp are
+    monotone, so each channel's max of blobs is one exp of its pixels' least
+    squared distance to a keypoint, bit for bit; no keypoint leaves zeros.
     """
     w, h = int(image_size[0]), int(image_size[1])
-    image = np.zeros((spec.channels, h, w))
+    d2 = np.full((spec.channels, h, w), np.inf)
     sigma = spec.blob_radius / 2.0
     ys = np.arange(h, dtype=np.float64)[:, None]
     xs = np.arange(w, dtype=np.float64)[None, :]
     for i, k in zip(*np.nonzero(keypoints[:, :, 2] > 0)):
         x, y = keypoints[i, k, :2].tolist()
-        blob = np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2.0 * sigma**2))
         channel = k % spec.channels
-        np.maximum(image[channel], blob, out=image[channel])
-    return image
+        np.minimum(d2[channel], (xs - x) ** 2 + (ys - y) ** 2, out=d2[channel])
+    return np.exp(-d2 / (2.0 * sigma**2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 OKS is an exponential of squared keypoint distances normalized by object
 scale and per-keypoint constants, averaged over ground-truth-visible
 keypoints. Each image's detection x ground-truth OKS matrix is computed
-once, one ``oks`` call per pair, and the sweep over thresholds
-0.50:0.05:0.95 and the medium/large size buckets reads it: at each
-threshold, detections are greedily matched per image in descending score
-order, and precision-recall curves accumulate across images, summarized by
-101-point interpolated AP and final recall.
+once, one ``oks`` call per pair (score_image), and one sweep over
+thresholds 0.50:0.05:0.95 and the medium/large size buckets reads them all
+(summarize): at each threshold, detections are greedily matched per image
+in descending score order, and precision-recall curves accumulate across
+images, summarized by 101-point interpolated AP and final recall.
 
 Instances are bucketed by ground-truth area: the provided annotation area
 when available, otherwise the tight bounding box of visible keypoints (sides
@@ -145,64 +145,38 @@ def oks(pred_keypoints, gt_keypoints, gt_visibility, scale: float, params: OksPa
 
 
 @dataclass(frozen=True)
-class _ScoredImage:
+class ScoredImage:
     """What the threshold and bucket sweep reads of one image, computed once."""
 
-    scores: tuple[float, ...]
-    order: tuple[int, ...]  # detections by descending score, then index
-    oks: list[list[float]]  # [detection][ground truth]; 0.0 in columns without visible keypoints
-    visible: tuple[bool, ...]
-    areas: tuple[float, ...]  # effective area of each visible ground truth
+    scores: np.ndarray  # (D,)
+    order: np.ndarray  # (D,) detections by descending score, then index
+    oks: np.ndarray  # (D, G); 0.0 in columns without visible keypoints
+    visible: np.ndarray  # (G,) bool
+    areas: np.ndarray  # (G,) effective area of each visible ground truth, 0.0 for the rest
 
 
-def _score_image(dets: Sequence[Detection], gts: Sequence[GroundTruthInstance], params: OksParams) -> _ScoredImage:
+def score_image(dets: Sequence[Detection], gts: Sequence[GroundTruthInstance], params: OksParams) -> ScoredImage:
     """One ``oks`` call per pair of a detection and a ground truth with visible keypoints."""
-    visible = tuple(gt.num_visible > 0 for gt in gts)
-    areas = tuple(gt.effective_area() if vis else 0.0 for gt, vis in zip(gts, visible))
-    matrix = [[0.0] * len(gts) for _ in dets]
+    visible = np.array([gt.num_visible > 0 for gt in gts], dtype=bool)
+    areas = np.array([gt.effective_area() if vis else 0.0 for gt, vis in zip(gts, visible)])
+    matrix = np.zeros((len(dets), len(gts)))
     for j, gt in enumerate(gts):
         if visible[j]:
             scale = np.sqrt(areas[j])
-            for row, det in zip(matrix, dets):
-                row[j] = oks(det.keypoints, gt.keypoints, gt.visibility, scale, params)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return _ScoredImage(tuple(det.score for det in dets), tuple(order), matrix, visible, areas)
+            for i, det in enumerate(dets):
+                matrix[i, j] = oks(det.keypoints, gt.keypoints, gt.visibility, scale, params)
+    scores = np.array([det.score for det in dets])
+    return ScoredImage(scores, np.argsort(-scores, kind="stable"), matrix, visible, areas)
 
 
-def _match_image(image: _ScoredImage, valid, threshold):
-    """Greedy per-image matching: best remaining OKS >= threshold wins.
-
-    Each detection, by descending score, takes its best untaken valid ground
-    truth (strict ``>`` from 0.0, so the first maximum wins). Returns
-    (score, is_tp) records for detections that enter the PR curve;
-    detections whose only match is an ignored ground truth (visible but not
-    valid) are dropped.
-    """
-    taken = [False] * len(valid)
-    records = []
-    for di in image.order:
-        row = image.oks[di]
-        best_j, best_oks = -1, 0.0
-        for j, value in enumerate(row):
-            if valid[j] and not taken[j] and value > best_oks:
-                best_j, best_oks = j, value
-        if best_j >= 0 and best_oks >= threshold:
-            taken[best_j] = True
-            records.append((image.scores[di], True))
-        elif not any(vis and not ok and value >= threshold for vis, ok, value in zip(image.visible, valid, row)):
-            records.append((image.scores[di], False))
-    return records
-
-
-def _pr_summary(all_records, num_gt):
-    """101-point interpolated AP and final recall from pooled detection records."""
+def _pr_summary(hits, num_gt):
+    """101-point interpolated AP and final recall from pooled detections' hits, by descending score."""
     if num_gt == 0:
         return None, None
-    if not all_records:
+    if not len(hits):
         return 0.0, 0.0
-    all_records.sort(key=lambda r: (-r[0], r[1], r[2]))
-    tp = np.cumsum([1.0 if r[3] else 0.0 for r in all_records])
-    fp = np.cumsum([0.0 if r[3] else 1.0 for r in all_records])
+    tp = np.cumsum(hits, dtype=np.float64)
+    fp = np.cumsum(~hits, dtype=np.float64)
     recall = tp / num_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
     # precision envelope: best precision at any recall >= r
@@ -213,22 +187,44 @@ def _pr_summary(all_records, num_gt):
     return float(interp.mean()), float(recall[-1])
 
 
-def _sweep(images: Sequence[_ScoredImage], thresholds, bucket):
-    """{threshold: (AP, recall)} over ground truths in the area bucket (None: all); the rest are ignored."""
-    valid_per_image = [
-        [vis and (bucket is None or bucket[0] <= area < bucket[1]) for vis, area in zip(image.visible, image.areas)]
-        for image in images
-    ]
-    num_gt = sum(sum(v) for v in valid_per_image)
-    if num_gt == 0:
-        return {t: (None, None) for t in thresholds}
-    out = {}
-    for t in thresholds:
-        records = []
-        for img, image in enumerate(images):
-            for di, (score, is_tp) in enumerate(_match_image(image, valid_per_image[img], t)):
-                records.append((score, img, di, is_tp))
-        out[t] = _pr_summary(records, num_gt)
+def _sweep(images: Sequence[ScoredImage], thresholds, buckets) -> list[dict]:
+    """Per area bucket (None: all), {threshold: (AP, recall)} over its ground truths; the other visible ones are ignored.
+
+    The images are padded into arrays of images x detections by rank x ground truths, and the greedy
+    match runs for every image, bucket and threshold at once, one rank at a time: a detection takes
+    its best untaken valid ground truth (the first maximum, strictly above 0.0) when that OKS reaches
+    the threshold; an unmatched one that reaches it against an ignored ground truth leaves the curve.
+    """
+    d = max((len(image.scores) for image in images), default=0)
+    g = max((len(image.areas) for image in images), default=0)
+    scores, ranked, present = np.zeros((len(images), d)), np.zeros((len(images), d, g)), np.zeros((len(images), d), bool)
+    visible, areas = np.zeros((len(images), g), bool), np.zeros((len(images), g))
+    for i, image in enumerate(images):
+        n, m = image.oks.shape
+        scores[i, :n], ranked[i, :n, :m], present[i, :n] = image.scores[image.order], image.oks[image.order], True
+        visible[i, :m], areas[i, :m] = image.visible, image.areas
+    valid = np.stack([visible if b is None else visible & (b[0] <= areas) & (areas < b[1]) for b in buckets])[:, None]
+    ignored = visible & ~valid  # (buckets, 1, images, ground truths)
+    t = np.asarray(thresholds, dtype=np.float64)[:, None]
+    untaken = np.repeat(valid, len(t), axis=1)
+    matched = np.zeros((len(buckets), len(t), len(images), d), bool)
+    kept = matched.copy()
+    for r in range(d if g else 0):
+        row = np.where(untaken, ranked[:, r], 0.0)
+        best_j = row.argmax(axis=-1)
+        best = np.take_along_axis(row, best_j[..., None], axis=-1)[..., 0]
+        matched[..., r] = present[:, r] & (best > 0.0) & (best >= t)
+        untaken &= ~(matched[..., r, None] & (np.arange(g) == best_j[..., None]))
+        reaches_ignored = (ignored & (ranked[:, r] >= t[..., None])).any(axis=-1)
+        kept[..., r] = present[:, r] & (matched[..., r] | ~reaches_ignored)
+    out = []
+    for b, num_gt in enumerate(valid.sum(axis=(1, 2, 3))):
+        by_threshold = {}
+        for i, threshold in enumerate(thresholds):
+            keep = kept[b, i].ravel()
+            hits = matched[b, i].ravel()[keep]
+            by_threshold[threshold] = _pr_summary(hits[np.argsort(-scores.ravel()[keep], kind="stable")], num_gt)
+        out.append(by_threshold)
     return out
 
 
@@ -237,23 +233,15 @@ def _mean(values):
     return float(np.mean(values)) if values else None
 
 
-def evaluate_detections(
-    detections: Sequence[Sequence[Detection]],
-    ground_truths: Sequence[Sequence[GroundTruthInstance]],
-    params: OksParams,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-) -> EvalResult:
-    """Score per-image detections against annotations across thresholds and size buckets.
+def summarize(images: Sequence[ScoredImage], thresholds: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
+    """AP and AR of scored images across thresholds and size buckets.
 
     Each kind (AP, AR) gets its mean over the thresholds in every bucket (all, _m, _l) and, from the
     bucket of all ground truths, its values at 0.5 and 0.75.
     """
-    if len(detections) != len(ground_truths):
-        raise ValueError(f"image counts differ: {len(detections)} detection lists, {len(ground_truths)} gt lists")
     thresholds = tuple(thresholds)
-    images = [_score_image(dets, gts, params) for dets, gts in zip(detections, ground_truths)]
     buckets = {"": None, "_m": MEDIUM_RANGE, "_l": LARGE_RANGE}  # field-name suffix: area range
-    swept = {suffix: _sweep(images, thresholds, bucket) for suffix, bucket in buckets.items()}
+    swept = dict(zip(buckets, _sweep(images, thresholds, list(buckets.values()))))
     values = {}
     for i, kind in enumerate(("ap", "ar")):
         for suffix, by_threshold in swept.items():
@@ -261,6 +249,18 @@ def evaluate_detections(
         for t in (0.5, 0.75):
             values[f"{kind}{round(100 * t)}"] = swept[""][t][i] if t in swept[""] else None
     return EvalResult(**values)
+
+
+def evaluate_detections(
+    detections: Sequence[Sequence[Detection]],
+    ground_truths: Sequence[Sequence[GroundTruthInstance]],
+    params: OksParams,
+    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
+) -> EvalResult:
+    """Score per-image detections against annotations: summarize over each image's score_image."""
+    if len(detections) != len(ground_truths):
+        raise ValueError(f"image counts differ: {len(detections)} detection lists, {len(ground_truths)} gt lists")
+    return summarize([score_image(dets, gts, params) for dets, gts in zip(detections, ground_truths)], thresholds)
 
 
 # ---------------------------------------------------------------------------

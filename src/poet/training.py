@@ -468,9 +468,10 @@ def default_oks_params(num_keypoints: int) -> metrics.OksParams:
     return metrics.OksParams.coco17() if num_keypoints == 17 else metrics.OksParams.uniform(num_keypoints)
 
 
-def _score_layers(per_layer, dataset: Dataset, oks_params: metrics.OksParams) -> list[metrics.EvalResult]:
-    gts = ground_truths(dataset)
-    return [metrics.evaluate_detections(dets, gts, oks_params) for dets in per_layer]
+def _select(per_layer: list, layers, sizes, score_threshold: float, top_k: int) -> None:
+    """Append each decoder layer's detections of one forwarded batch of images to per_layer."""
+    for dets, out in zip(per_layer, layers):
+        dets += metrics.select_detections(out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data, sizes, score_threshold, top_k)
 
 
 # bytes of the largest activation of one evaluation forward: small enough that the
@@ -492,20 +493,23 @@ def _images_per_forward(cfg: ModelConfig, height: int, width: int) -> int:
     return max(1, EVAL_CHUNK_BYTES // (8 * largest))
 
 
-def _forward_range(dataset: Dataset, images: range, chunk: int, cparams, cfg: ModelConfig) -> list:
-    """(indices, each decoder layer's (score, center, offsets) arrays) for each chunk of an image range, in order."""
-    forwarded = []
+def _score_range(
+    dataset: Dataset, images: range, chunk: int, cparams, cfg: ModelConfig, score_threshold: float, top_k: int, oks_params: metrics.OksParams
+) -> list[list[metrics.ScoredImage]]:
+    """Each decoder layer's scored images of an image range, forwarded in chunks of images, in order."""
+    per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
     for start in range(images.start, images.stop, chunk):
         indices = range(start, min(start + chunk, images.stop))
         layers = _layer_outputs(np.stack([dataset.image(i) for i in indices]), cparams, cfg)
-        forwarded.append((indices, [(o["class_probs"].data[..., 0], o["center"].data, o["offsets"].data) for o in layers]))
-    return forwarded
+        _select(per_layer, layers, [dataset.samples[i].size for i in indices], score_threshold, top_k)
+    gts = ground_truths(dataset)[images.start : images.stop]
+    return [[metrics.score_image(d, g, oks_params) for d, g in zip(dets, gts)] for dets in per_layer]
 
 
-def _forward_worker(conn, *args) -> None:
-    """A forked child's _forward_range, sent back over the pipe; a failure is sent as its message."""
+def _score_worker(conn, *args) -> None:
+    """A forked child's _score_range, sent back over the pipe; a failure is sent as its message."""
     try:
-        conn.send(_forward_range(*args))
+        conn.send(_score_range(*args))
     except Exception as e:
         conn.send(f"{type(e).__name__}: {e}")
 
@@ -522,10 +526,12 @@ def evaluate(
 
     Only pixels and annotations are read, so images may hold more people than the model has slots.
     The model runs in chunks of images sized by _images_per_forward, in contiguous ranges, one per chunk
-    and per usable core the BLAS threads leave: forked children forward all ranges but the first, which
-    this process forwards before it selects and scores every detection. Outputs depend on neither split.
+    and per usable core the BLAS threads leave. Each range's process forwards, selects and OKS-scores its
+    images: forked children all ranges but the first, which this process keeps before it joins their
+    scored images in order and summarizes each layer. Outputs depend on neither split.
     """
     cparams = model.constant_params(params)
+    oks_params = oks_params or default_oks_params(cfg.num_keypoints)
     n = len(dataset)
     chunk = _images_per_forward(cfg, *dataset.image(0).shape[1:]) if n else 1
     w = min(_free_cores(), -(-n // chunk)) or 1
@@ -537,11 +543,12 @@ def evaluate(
             ctx = multiprocessing.get_context("fork")  # the children share the parameters and the dataset unpickled
             for images in ranges[1:]:
                 receive, send = ctx.Pipe(duplex=False)
-                process = ctx.Process(target=_forward_worker, args=(send, dataset, images, chunk, cparams, cfg))
+                args = (send, dataset, images, chunk, cparams, cfg, score_threshold, top_k, oks_params)
+                process = ctx.Process(target=_score_worker, args=args)
                 process.start()
                 workers.append((images, process, receive))
                 send.close()
-        forwarded = _forward_range(dataset, ranges[0], chunk, cparams, cfg)
+        per_layer = _score_range(dataset, ranges[0], chunk, cparams, cfg, score_threshold, top_k, oks_params)
         for images, _, receive in workers:
             try:
                 got = receive.recv()
@@ -549,18 +556,14 @@ def evaluate(
                 got = "the worker exited without sending its outputs"
             if isinstance(got, str):
                 raise RuntimeError(f"evaluating images {images.start}..{images.stop - 1}: {got}")
-            forwarded += got
+            for scored, theirs in zip(per_layer, got):
+                scored += theirs
     finally:
         for _, process, receive in workers:  # a child that has sent is done; any other is no longer wanted
             process.terminate()
             process.join()
             receive.close()
-    per_layer: list[list[list[metrics.Detection]]] = [[] for _ in range(cfg.dec_layers)]
-    for indices, layers in forwarded:
-        sizes = [dataset.samples[i].size for i in indices]
-        for dets, (score, center, offsets) in zip(per_layer, layers):
-            dets += metrics.select_detections(score, center, offsets, sizes, score_threshold, top_k)
-    results = _score_layers(per_layer, dataset, oks_params or default_oks_params(cfg.num_keypoints))
+    results = [metrics.summarize(images) for images in per_layer]
     return results[-1], results
 
 
@@ -578,11 +581,9 @@ def validate(
     for batch in batch_iter(dataset, run.train.batch_size, None, cfg.num_queries):
         layers = _layer_outputs(batch.images, cparams, cfg)
         losses.append(_batch_loss(batch, layers[-1], run.loss))
-        sizes = [dataset.samples[i].size for i in batch.indices]
-        for dets, out in zip(per_layer, layers):
-            score, center, offsets = out["class_probs"].data[..., 0], out["center"].data, out["offsets"].data
-            dets += metrics.select_detections(score, center, offsets, sizes, run.train.score_threshold, run.train.top_k)
-    results = _score_layers(per_layer, dataset, default_oks_params(cfg.num_keypoints))
+        _select(per_layer, layers, [dataset.samples[i].size for i in batch.indices], run.train.score_threshold, run.train.top_k)
+    gts = ground_truths(dataset)
+    results = [metrics.evaluate_detections(dets, gts, default_oks_params(cfg.num_keypoints)) for dets in per_layer]
     return _mean_breakdown(losses), results[-1], results
 
 
@@ -609,20 +610,20 @@ def _split_checkpoint(arrays: dict[str, np.ndarray], optim_config: OptimConfig) 
     params: dict[str, np.ndarray] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
-    step = 0
-    epoch = 0
+    meta = {"meta.step": 0.0, "meta.epoch": 0.0}
     for name, arr in arrays.items():
-        if name == "meta.step":
-            step = int(arr[0])
-        elif name == "meta.epoch":
-            epoch = int(arr[0])
+        if name in meta:
+            meta[name] = float(arr[0])
         elif name.startswith("optim.m."):
             m[name[len("optim.m.") :]] = arr
         elif name.startswith("optim.v."):
             v[name[len("optim.v.") :]] = arr
         else:
             params[name] = arr
-    return params, OptimState(m, v, step, optim_config), epoch
+    for name, value in meta.items():
+        if not np.isfinite(value):
+            raise CheckpointMismatch(f"checkpoint holds NaN or infinite values: {name} = {value}")
+    return params, OptimState(m, v, int(meta["meta.step"]), optim_config), int(meta["meta.epoch"])
 
 
 def check_params(arrays: dict[str, np.ndarray], cfg: ModelConfig, epochs: int | None = None, label: str = "checkpoint") -> None:

@@ -3,7 +3,7 @@
 Nothing in the package calls these. Each is the plain form of something the
 package does on whole arrays: one pose vector per instance, one pixel
 keypoint per row, one cost per target and prediction pair, one COCO record
-per instance. An instance's annotation is a (K, 3) array of x, y, v rows, the
+per instance, one exp per rendered blob. An instance's annotation is a (K, 3) array of x, y, v rows, the
 layout of ``Sample.keypoints``.
 """
 
@@ -26,6 +26,21 @@ def non_object_pose(num_keypoints: int) -> PoseVector:
 def encode_pose(keypoints, image_size: Sequence[float]) -> PoseVector:
     """One instance's pose vector: encode_targets' row for it, a non-object when no keypoint is visible."""
     return encode_targets(np.asarray(keypoints, dtype=np.float64)[None], image_size, 1)[0]
+
+
+def render_image(keypoints: np.ndarray, image_size, spec) -> np.ndarray:
+    """One Gaussian blob per visible keypoint of the (instances, K, 3) rows, each blob's exp taken on its own and composed by max."""
+    w, h = int(image_size[0]), int(image_size[1])
+    image = np.zeros((spec.channels, h, w))
+    sigma = spec.blob_radius / 2.0
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    for i, k in zip(*np.nonzero(keypoints[:, :, 2] > 0)):
+        x, y = keypoints[i, k, :2].tolist()
+        blob = np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2.0 * sigma**2))
+        channel = k % spec.channels
+        np.maximum(image[channel], blob, out=image[channel])
+    return image
 
 
 def decode_pose(p: PoseVector, image_size: Sequence[float]) -> np.ndarray:

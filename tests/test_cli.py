@@ -742,6 +742,7 @@ DAMAGED_CHECKPOINTS = {
     "nan-parameter": (lambda a: a["head.class.bias"].__setitem__(0, math.nan), "NaN or infinite values: head.class.bias"),
     "infinite-moment": (lambda a: a["optim.m.queries.weight"].__setitem__((0, 0), math.inf), "NaN or infinite values: optim.m.queries.weight"),
     "nan-epoch": (lambda a: a["meta.epoch"].__setitem__(0, math.nan), "NaN or infinite values: meta.epoch"),
+    "infinite-step": (lambda a: a["meta.step"].__setitem__(0, math.inf), "NaN or infinite values: meta.step"),
     "negative-epoch": (lambda a: a["meta.epoch"].__setitem__(0, -3.0), "meta.epoch = -3, not an integer in [0, 2]"),
     "epoch-past-the-schedule": (lambda a: a["meta.epoch"].__setitem__(0, 5.0), "meta.epoch = 5, not an integer in [0, 2]"),
     "fractional-epoch": (lambda a: a["meta.epoch"].__setitem__(0, 1.5), "meta.epoch = 1.5, not an integer in [0, 2]"),
@@ -833,6 +834,19 @@ def test_resume_from_a_truncated_checkpoint_exit_2(tiny_cfg_path, tmp_path):
 def test_eval_of_a_checkpoint_with_a_nan_parameter_exit_2(tiny_cfg_path, tmp_path):
     damage, where = DAMAGED_CHECKPOINTS["nan-parameter"]
     assert_usage_error(["eval", "--checkpoint", _damaged_checkpoint(tiny_cfg_path, tmp_path, damage)], tmp_path, where)
+
+
+@pytest.mark.parametrize("case", ["nan-epoch", "infinite-step"])
+def test_eval_of_a_checkpoint_with_a_non_finite_meta_entry_exit_2(tiny_cfg_path, tmp_path, case):
+    damage, where = DAMAGED_CHECKPOINTS[case]
+    ckpt = _damaged_checkpoint(tiny_cfg_path, tmp_path, damage)
+    assert ckpt in assert_usage_error(["eval", "--checkpoint", ckpt], tmp_path, where)
+
+
+def test_eval_accepts_a_finite_meta_entry_it_does_not_use(tiny_cfg_path, tmp_path, capsys):
+    ckpt = _damaged_checkpoint(tiny_cfg_path, tmp_path, lambda a: a["meta.step"].__setitem__(0, 1e300))
+    assert main(["eval", "--checkpoint", ckpt]) == 0
+    assert "AP" in capsys.readouterr().out
 
 
 def test_eval_accepts_a_parameters_only_checkpoint(tiny_cfg_path, tmp_path, capsys):

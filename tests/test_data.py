@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from oracles import encode_pose, save_coco_keypoints
 from poet.data import (
     Dataset,
@@ -94,6 +95,41 @@ def test_invisible_keypoints_leave_no_blob():
     image = render_image(np.array([[[10.0, 10.0, 2.0], [30.0, 30.0, 0.0]]]), (48, 48), RenderSpec(3.0, 2))
     assert image[0, 10, 10] > 0.9
     assert image[1].max() == 0.0  # keypoint 1 occluded, channel 1 stays empty
+
+
+RENDERED_SETS = {  # the synth sets that configs/synth_tiny.cfg, a 96 px evaluation and a paper-scale run render
+    "synth_tiny": dict(num_samples=48, image_size=64, num_keypoints=5, channels=5, max_instances=3, blob_radius=3.5, template_scale=0.22),
+    "eval_val": dict(num_samples=32, image_size=96, num_keypoints=5, channels=5, min_instances=2, max_instances=2, blob_radius=3.5, template_scale=0.22),
+    "train_paper": dict(num_samples=16, image_size=128, num_keypoints=17, channels=3, min_instances=4, max_instances=4, blob_radius=3.5),
+}
+
+
+@pytest.mark.parametrize("name", list(RENDERED_SETS))
+def test_render_image_equals_the_per_blob_oracle_bit_for_bit(name):
+    dataset = synth_generate(SynthConfig(seed=7, **RENDERED_SETS[name]))
+    for sample in dataset.samples:
+        got = render_image(sample.keypoints, sample.size, dataset.render)
+        assert got.tobytes() == oracles.render_image(sample.keypoints, sample.size, dataset.render).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows,channels",
+    [
+        ([[[10.0, 12.0, 2.0], [10.0, 12.0, 1.0]]], 1),  # two keypoints of one channel on one pixel
+        ([[[10.0, 12.0, 2.0], [11.0, 12.0, 2.0]]], 1),  # and 1 px apart
+        ([[[10.0, 12.0, 2.0]], [[11.5, 12.25, 2.0]]], 1),  # two people's
+        ([[[10.0, 12.0, 2.0], [20.0, 5.0, 2.0]]], 3),  # the third channel has no visible keypoint
+        ([[[10.0, 12.0, 0.0], [20.0, 5.0, 0.0]]], 2),  # no visible keypoint at all
+        (np.zeros((0, 2, 3)), 2),  # no people
+    ],
+)
+def test_render_image_hand_cases_equal_the_per_blob_oracle(rows, channels):
+    keypoints, spec = np.array(rows, dtype=np.float64), RenderSpec(3.0, channels)
+    got = render_image(keypoints, (24, 16), spec)
+    assert got.tobytes() == oracles.render_image(keypoints, (24, 16), spec).tobytes()
+    visible = keypoints[:, :, 2] > 0
+    for channel in range(channels):
+        assert got[channel].any() == visible[:, channel::channels].any()
 
 
 def test_image_rendering_cached_and_lazy():

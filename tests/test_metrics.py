@@ -369,11 +369,14 @@ GIVEN_AREAS = (None, 20.0**2, 32.0**2, 50.0**2, 96.0**2 - 1.0, 96.0**2, 150.0**2
 
 @st.composite
 def scoring_cases(draw):
-    """Images of people with mixed visibility and areas, and detections near them or not, with score ties."""
+    """Images of people with mixed visibility and areas, and detections near them or not, with score ties.
+
+    Up to 12 images of 0-3 people and 0-5 detections each, so that most images are padded in the sweep's arrays.
+    """
     k = draw(st.sampled_from([5, 17]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     detections, ground_truths = [], []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 12))):
         gts = []
         for _ in range(draw(st.integers(0, 3))):
             if gts and draw(st.booleans()):

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import pickle
 import signal
 import threading
 import weakref
@@ -342,23 +343,23 @@ def test_evaluate_equals_slot_path(score_threshold, top_k, monkeypatch):
     params = model.init_params(run.model, 4)
     params["head.class.bias"] = np.array([1.0, 0.0])  # human scores on both sides of 0.5 in every layer
     scored = []
-    score = metrics.evaluate_detections
+    score = metrics.score_image
 
     def recording(detections, *args):
-        scored.append(detections)
+        scored.append([(d.keypoints.tobytes(), d.score) for d in detections])
         return score(detections, *args)
 
-    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    monkeypatch.setattr(metrics, "score_image", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every image is scored in this process
     final, per_layer = evaluate(params, run.model, dataset, score_threshold, top_k)
     expected = _slot_path_detections(params, run.model, dataset, score_threshold, top_k, batch_size=5)
-    assert len(scored) == len(expected) == run.model.dec_layers
-    for got_layer, want_layer in zip(scored, expected):
-        assert [[(d.keypoints.tobytes(), d.score) for d in img] for img in got_layer] == [
-            [(d.keypoints.tobytes(), d.score) for d in img] for img in want_layer
-        ]
+    n = len(dataset)
+    assert len(scored) == n * run.model.dec_layers and sum(len(img) for img in scored) > 0
+    for layer, want_layer in enumerate(expected):  # scored layer by layer, each in image order
+        assert scored[layer * n : (layer + 1) * n] == [[(d.keypoints.tobytes(), d.score) for d in img] for img in want_layer]
     gts = training.ground_truths(dataset)
     oks_params = training.default_oks_params(run.model.num_keypoints)
-    assert per_layer == [score(dets, gts, oks_params) for dets in expected]
+    assert per_layer == [metrics.evaluate_detections(dets, gts, oks_params) for dets in expected]
     assert final == per_layer[-1] and final.ap is not None
 
 
@@ -374,18 +375,18 @@ def test_evaluate_chunks_give_the_whole_set_forwards_results(chunk, monkeypatch)
     per_image_bytes = 8 * cfg.heads * (32 // cfg.total_stride) ** 4
     assert per_image_bytes > 8 * cfg.image_channels * 9 * 16 * 16
     forwards, scored = [], []
-    forward, score = model.model_forward, metrics.evaluate_detections
+    forward, score = model.model_forward, metrics.score_image
 
     def counting(images, *args, **kwargs):
         forwards.append(images.shape[0])
         return forward(images, *args, **kwargs)
 
     def recording(detections, *args):
-        scored.append([[(d.keypoints.tobytes(), d.score) for d in img] for img in detections])
+        scored.append([(d.keypoints.tobytes(), d.score) for d in detections])
         return score(detections, *args)
 
     monkeypatch.setattr(model, "model_forward", counting)
-    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    monkeypatch.setattr(metrics, "score_image", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # forwards are counted in this process
     results = []
     for budget in (1 << 40, chunk * per_image_bytes + per_image_bytes - 1):
@@ -394,8 +395,8 @@ def test_evaluate_chunks_give_the_whole_set_forwards_results(chunk, monkeypatch)
     n = len(dataset)
     assert forwards == [n] + [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
     assert chunk == 1 or n % chunk  # the chunks of 5 end in a partial one
-    whole, chunked = scored[: cfg.dec_layers], scored[cfg.dec_layers :]
-    assert whole == chunked
+    whole, chunked = scored[: n * cfg.dec_layers], scored[n * cfg.dec_layers :]
+    assert whole == chunked and len(whole) == n * cfg.dec_layers and sum(len(img) for img in whole) > 0
     assert results[0] == results[1]
 
 
@@ -425,35 +426,55 @@ def _split_run(monkeypatch, cores: int, images_per_chunk: int):
 def _parent_ranges(monkeypatch) -> list[range]:
     """The image ranges this process forwards; a forked child's calls are not seen here."""
     ranges = []
-    forward = training._forward_range
+    forward = training._score_range
 
     def recording(dataset, images, *args):
         ranges.append(images)
         return forward(dataset, images, *args)
 
-    monkeypatch.setattr(training, "_forward_range", recording)
+    monkeypatch.setattr(training, "_score_range", recording)
     return ranges
 
 
 @pytest.mark.parametrize("score_threshold,top_k", [(0.0, 0), (0.5, 0), (0.0, 5)])
-def test_evaluate_on_two_workers_equals_one_bit_for_bit(score_threshold, top_k, monkeypatch):
+def test_evaluate_on_two_workers_equals_one_bit_for_bit(score_threshold, top_k, monkeypatch, tmp_path):
     from poet import metrics
 
-    scored = []
-    score = metrics.evaluate_detections
+    parent, scored, received = os.getpid(), [], []
+    score, summarize = metrics.score_image, metrics.summarize
 
     def recording(detections, *args):
-        scored.append([[(d.keypoints.tobytes(), np.float64(d.score).tobytes()) for d in img] for img in detections])
+        record = [(d.keypoints.tobytes(), np.float64(d.score).tobytes()) for d in detections]
+        if os.getpid() == parent:
+            scored.append(record)
+        else:  # the forked child's detections reach the test through a file
+            with open(tmp_path / "child.pkl", "ab") as fh:
+                pickle.dump(record, fh)
         return score(detections, *args)
 
-    monkeypatch.setattr(metrics, "evaluate_detections", recording)
+    def receiving(images, *args):
+        received.append([tuple(a.tobytes() for a in (im.scores, im.order, im.oks, im.visible, im.areas)) for im in images])
+        return summarize(images, *args)
+
+    monkeypatch.setattr(metrics, "score_image", recording)
+    monkeypatch.setattr(metrics, "summarize", receiving)
     results, ranges = [], _parent_ranges(monkeypatch)
     for cores in (1, 2):
         params, cfg, dataset = _split_run(monkeypatch, cores, images_per_chunk=2)  # 6 chunks, 3 per worker
         results.append(evaluate(params, cfg, dataset, score_threshold, top_k))
     assert ranges == [range(0, 12), range(0, 6)]
-    one, two = scored[: cfg.dec_layers], scored[cfg.dec_layers :]
+    child = []
+    with open(tmp_path / "child.pkl", "rb") as fh:
+        with contextlib.suppress(EOFError):
+            while True:
+                child.append(pickle.load(fh))
+    layers = cfg.dec_layers
+    assert len(scored) == 18 * layers and len(child) == 6 * layers  # layer by layer, each range in image order
+    one = [scored[12 * li : 12 * (li + 1)] for li in range(layers)]
+    two = [scored[12 * layers + 6 * li : 12 * layers + 6 * (li + 1)] + child[6 * li : 6 * (li + 1)] for li in range(layers)]
     assert one == two and sum(len(img) for layer in one for img in layer) > 0
+    assert len(received) == 2 * layers and all(len(images) == 12 for images in received)
+    assert received[:layers] == received[layers:]
     assert results[0] == results[1]
     if top_k:
         assert all(len(img) == top_k for layer in one for img in layer)
